@@ -63,9 +63,7 @@ namespace {
 using namespace grx;
 using Clock = std::chrono::steady_clock;
 
-// Taken during static initialisation: the closest the program gets to its
-// own start, so the first set-up repetition includes loader and runtime
-// start-up.
+// Taken during static initialisation: span times are written relative to it.
 const Clock::time_point g_process_start = Clock::now();
 
 double seconds_between(Clock::time_point a, Clock::time_point b) {
@@ -88,6 +86,14 @@ double percentile(std::vector<double> v, double p) {
   return v[std::min(v.size() - 1, idx == 0 ? 0 : idx - 1)];
 }
 double median(std::vector<double> v) { return percentile(std::move(v), 50); }
+
+/// FNV-1a over 32-bit words: what the output checks keep of an exact
+/// result, so the harness's memory does not grow with what it checks.
+std::uint64_t digest(const std::vector<std::uint32_t>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ull ^ v.size();
+  for (std::uint32_t x : v) h = (h ^ x) * 0x100000001b3ull;
+  return h;
+}
 
 // --- tracing -----------------------------------------------------------------
 
@@ -300,6 +306,10 @@ constexpr std::uint32_t kPrIterations = 20;
 /// Rotating Engine sources per run: enough that the per-seed draw moves
 /// the medians little.
 constexpr std::uint32_t kSources = 16;
+/// Back-to-back calls per timed sample (PageRank: 1, it runs far above a
+/// millisecond on every graph here), so no sample is a single
+/// sub-millisecond timing, even after a large speed-up.
+constexpr std::uint32_t kGroup = 8;
 
 /// Kernels that together make up over 90% of a pass's device time on the
 /// analytics graph (from Device::kernel_log()); reported per pass.
@@ -339,9 +349,10 @@ struct EnginePhaseResult {
 
 /// Reference results per (primitive, source): every call is compared with
 /// the first result for its source; the first result is compared with the
-/// serial oracle once, after the timed phases.
+/// serial oracle once, after the timed phases. Exact results are kept as
+/// digests.
 struct EngineRefs {
-  std::map<VertexId, std::vector<std::uint32_t>> bfs, sssp;
+  std::map<VertexId, std::uint64_t> bfs, sssp;
   std::map<VertexId, std::vector<double>> bc;
   std::vector<VertexId> cc;
   std::vector<double> pr;
@@ -372,18 +383,16 @@ void check_ref(EngineRefs& refs, std::map<VertexId, Vec>& store, int prim,
 }
 
 /// Runs passes of the five primitives for `seconds` (at least one),
-/// accumulating into `r`. Each primitive is timed as a group of `group`
-/// back-to-back calls on rotating sources, so no sample is a single
-/// sub-millisecond timing.
+/// accumulating into `r`. Each primitive is timed as a group of kGroup
+/// back-to-back calls on rotating sources (PageRank: one call).
 void run_engine_phase(Engine& engine, simt::Device& dev,
-                      const std::vector<VertexId>& sources,
-                      std::uint32_t group, double seconds, EngineRefs& refs,
-                      Tally& tally, EnginePhaseResult& r) {
-  std::vector<BfsResult> bfs(group);
-  std::vector<SsspResult> sssp(group);
-  std::vector<BcResult> bc(group);
-  std::vector<CcResult> cc(group);
-  std::vector<PagerankResult> pr(group);
+                      const std::vector<VertexId>& sources, double seconds,
+                      EngineRefs& refs, Tally& tally, EnginePhaseResult& r) {
+  std::vector<BfsResult> bfs(kGroup);
+  std::vector<SsspResult> sssp(kGroup);
+  std::vector<BcResult> bc(kGroup);
+  std::vector<CcResult> cc(kGroup);
+  std::vector<PagerankResult> pr(kGroup);
   QueryOptions bfs_opts;
   bfs_opts.direction = Direction::kOptimal;
   QueryOptions pr_opts;
@@ -397,8 +406,7 @@ void run_engine_phase(Engine& engine, simt::Device& dev,
   for (bool first = true; first || Clock::now() < deadline; first = false) {
     double pass_device = 0;
     for (int p = 0; p < kNumPrims; ++p) {
-      // PageRank runs far above a millisecond on every graph here.
-      const std::uint32_t n = p == kPrP ? 1 : group;
+      const std::uint32_t n = p == kPrP ? 1 : kGroup;
       std::vector<VertexId> src(n);
       for (auto& s : src) s = sources[r.rotation++ % sources.size()];
       const auto t0 = Clock::now();
@@ -425,17 +433,19 @@ void run_engine_phase(Engine& engine, simt::Device& dev,
       // Outside the timed group: counters and output checks.
       double dev_ms = 0;
       for (std::uint32_t j = 0; j < n; ++j) {
-        const auto eq_u32 = [](const auto& a, const auto& b) { return a == b; };
+        const auto same = [](std::uint64_t a, std::uint64_t b) {
+          return a == b;
+        };
         switch (p) {
           case kBfsP:
             r.prim[p].add(bfs[j].summary);
             dev_ms += bfs[j].summary.device_time_ms;
-            check_ref(refs, refs.bfs, p, src[j], bfs[j].depth, eq_u32);
+            check_ref(refs, refs.bfs, p, src[j], digest(bfs[j].depth), same);
             break;
           case kSsspP:
             r.prim[p].add(sssp[j].summary);
             dev_ms += sssp[j].summary.device_time_ms;
-            check_ref(refs, refs.sssp, p, src[j], sssp[j].dist, eq_u32);
+            check_ref(refs, refs.sssp, p, src[j], digest(sssp[j].dist), same);
             break;
           case kBcP:
             r.prim[p].add(bc[j].summary);
@@ -488,9 +498,9 @@ void verify_engine_refs(const Csr& g, const std::vector<VertexId>& serial_cc,
                           " wrong results");
   };
   for (const auto& [src, depth] : refs.bfs)
-    settle(kBfsP, src, depth == serial::bfs(g, src));
+    settle(kBfsP, src, depth == digest(serial::bfs(g, src)));
   for (const auto& [src, dist] : refs.sssp)
-    settle(kSsspP, src, dist == serial::dijkstra(g, src));
+    settle(kSsspP, src, dist == digest(serial::dijkstra(g, src)));
   for (const auto& [src, vals] : refs.bc)
     settle(kBcP, src, near(vals, serial::brandes_bc(g, src), kBcTol));
   if (!refs.cc.empty()) settle(kCcP, 0, refs.cc == serial_cc);
@@ -597,9 +607,14 @@ constexpr double kSatWindowS = 0.5;   ///< q/s per window, then median
 constexpr double kBfsShare = 0.75;
 constexpr std::uint32_t kSampleOneIn = 64;  ///< oracle-checked share
 constexpr std::size_t kMaxSamples = 2000;
-// Churn: a writer applies kChurnEdges deletes + kChurnEdges inserts every
-// kChurnPeriodMs, so the edge count stays constant.
-constexpr std::uint32_t kChurnEdges = 32;
+// Churn: a writer publishes one batch every kChurnPeriodMs, half deletes of
+// present edges and half inserts of absent ones, so the edge count stays
+// constant. The rate is bench_server's mutation arm's: updates per second =
+// kChurnPerSecond x the graph's edge count. The period sets how long a
+// cached result lives, so it sets the reuse share: a Zipf model of the
+// traffic gives 0.18 (open loop) to 0.31 (saturation) at 100 ms, against
+// 0.02-0.07 at bench_server's 5 ms (perfbench/README.md).
+constexpr double kChurnPerSecond = 0.01;
 constexpr double kChurnPeriodMs = 100.0;
 constexpr double kZipfExponent = 0.9;
 // Churn reuse (cache hits + singleflight attaches) must stay in this band:
@@ -647,7 +662,7 @@ struct Sample {
   Epoch epoch;
   QueryKind kind;
   VertexId source;
-  std::vector<std::uint32_t> value;
+  std::uint64_t digest;  ///< of the served depth or distance vector
 };
 
 struct Inflight {
@@ -723,8 +738,8 @@ class Collector {
         log_.open_latency.emplace_back(f.due, ms_between(f.due, done));
       if (f.phase == 2) log_.sat_done.push_back(done);
       if (res && f.sample && log_.samples.size() < kMaxSamples) {
-        auto& v = res->kind == QueryKind::kBfs ? res->depth : res->dist;
-        log_.samples.push_back({res->epoch, res->kind, f.source, std::move(v)});
+        const auto& v = res->kind == QueryKind::kBfs ? res->depth : res->dist;
+        log_.samples.push_back({res->epoch, res->kind, f.source, digest(v)});
       }
       --log_.outstanding;
       if (log_.outstanding == 0 ||
@@ -751,6 +766,7 @@ struct Churn {
   std::vector<std::vector<EdgeUpdate>> sent;
   std::vector<double> apply_ms;
   std::uint64_t snapshots_live_max = 0;
+  std::uint32_t half_batch = 0;  ///< deletes (and inserts) per batch
   Rng rng{0};
 
   static std::uint64_t key(VertexId u, VertexId v) {
@@ -758,13 +774,16 @@ struct Churn {
   }
   void init(const Csr& g, std::uint64_t seed) {
     rng = Rng(seed);
+    half_batch = static_cast<std::uint32_t>(std::max(
+        1.0, std::round(kChurnPerSecond * static_cast<double>(g.num_edges()) *
+                        kChurnPeriodMs / 1e3 / 2)));
     for (VertexId u = 0; u < g.num_vertices(); ++u)
       for (VertexId v : g.neighbors(u))
         if (u < v) edges.emplace_back(u, v), present.insert(key(u, v));
   }
   std::vector<EdgeUpdate> next_batch(VertexId n) {
     std::vector<EdgeUpdate> b;
-    for (std::uint32_t i = 0; i < kChurnEdges; ++i) {
+    for (std::uint32_t i = 0; i < half_batch; ++i) {
       const auto at = rng.next_below(edges.size());
       const auto [u, v] = edges[at];
       edges[at] = edges.back();
@@ -772,7 +791,7 @@ struct Churn {
       present.erase(key(u, v));
       b.push_back(EdgeUpdate::remove_edge(u, v));
     }
-    for (std::uint32_t i = 0; i < kChurnEdges;) {
+    for (std::uint32_t i = 0; i < half_batch;) {
       auto u = static_cast<VertexId>(rng.next_below(n));
       auto v = static_cast<VertexId>(rng.next_below(n));
       if (u == v) continue;
@@ -825,14 +844,15 @@ std::uint64_t verify_samples(const Csr& base,
       off[u + 1] = cols.size();
     }
     const Csr g(n, std::move(off), std::move(cols), std::move(w));
-    std::map<std::pair<QueryKind, VertexId>, std::vector<std::uint32_t>> memo;
+    std::map<std::pair<QueryKind, VertexId>, std::uint64_t> memo;
     for (; i < samples.size() && samples[i].epoch == want; ++i) {
       const Sample& s = samples[i];
       auto [it, fresh] = memo.try_emplace({s.kind, s.source});
       if (fresh)
-        it->second = s.kind == QueryKind::kBfs ? serial::bfs(g, s.source)
-                                               : serial::dijkstra(g, s.source);
-      bad += s.value != it->second;
+        it->second = digest(s.kind == QueryKind::kBfs
+                                ? serial::bfs(g, s.source)
+                                : serial::dijkstra(g, s.source));
+      bad += s.digest != it->second;
     }
   }
   return bad;
@@ -1114,14 +1134,13 @@ std::string json_metrics(const std::vector<Metric>& ms) {
   return s + "}";
 }
 
-/// Set-up repeated `reps` times (each repetition replaces the last one's
-/// objects); returns the median duration, the first repetition counted
-/// from process start.
+/// Set-up repeated `reps` times (each repetition frees the last one's
+/// objects first); returns the median duration.
 template <typename Fn>
 double timed_setup(int reps, Fn&& build) {
   std::vector<double> s;
   for (int i = 0; i < reps; ++i) {
-    const auto t0 = i == 0 ? g_process_start : Clock::now();
+    const auto t0 = Clock::now();
     build();
     s.push_back(seconds_between(t0, Clock::now()));
   }
@@ -1161,6 +1180,7 @@ int main(int argc, char** argv) {
     server.reset();
     dyn.reset();
     engine.reset();
+    gb = GraphBuild{};
     gb = make_rmat(scale, args.seed, root.id());
     gen_s.push_back(gb.generate_s);
     build_s.push_back(gb.build_s);
@@ -1190,9 +1210,6 @@ int main(int argc, char** argv) {
   const auto sources =
       giant_component_sources(g, serial_cc, kSources, args.seed);
   EngineRefs refs;
-  // Group size per timed sample: one call is well above a millisecond on
-  // the analytics graph; the serve graph is 8x smaller.
-  const std::uint32_t group = analytics ? 1 : 8;
 
   SourcePicker picker(g.num_vertices(), churn_on, args.seed ^ 0x21ff);
   Churn churn;
@@ -1203,9 +1220,8 @@ int main(int argc, char** argv) {
     // A discarded warm-up pass touches every pooled buffer.
     EnginePhaseResult warm, r;
     if (analytics) {
-      run_engine_phase(*engine, dev, sources, 1, 0.0, refs, tally, warm);
-      run_engine_phase(*engine, dev, sources, group, args.seconds, refs,
-                       tally, r);
+      run_engine_phase(*engine, dev, sources, 0.0, refs, tally, warm);
+      run_engine_phase(*engine, dev, sources, args.seconds, refs, tally, r);
       engine_metrics(r, e, l);
       // One client issuing the rotation back to back: its completed
       // queries/s and per-query latency.
@@ -1221,8 +1237,8 @@ int main(int argc, char** argv) {
       return;
     }
     auto probe = [&](double secs) {
-      run_engine_phase(*engine, dev, sources, 1, 0.0, refs, tally, warm);
-      run_engine_phase(*engine, dev, sources, group, secs, refs, tally, r);
+      run_engine_phase(*engine, dev, sources, 0.0, refs, tally, warm);
+      run_engine_phase(*engine, dev, sources, secs, refs, tally, r);
     };
     auto s = run_serve_round(*server, g.num_vertices(), picker,
                              churn_on ? &churn : nullptr, args.seconds,
@@ -1249,6 +1265,9 @@ int main(int argc, char** argv) {
   }
   const double measure_s = seconds_between(measure_start, Clock::now());
   if (server) server->stop();
+  // Read before the output checks, whose oracle graphs are not the
+  // program's memory.
+  const double rss_mb = peak_rss_mb();
 
   // --- output checks (outside every timed region) ----------------------------
   verify_engine_refs(g, serial_cc, refs, tally);
@@ -1259,7 +1278,7 @@ int main(int argc, char** argv) {
 
   if (!args.trace) {
     e2e.push_back({"setup_s", setup_s, "s"});
-    e2e.push_back({"rss_mb", peak_rss_mb(), "MB"});
+    e2e.push_back({"rss_mb", rss_mb, "MB"});
   } else {
     const auto gen = median(gen_s), bld = median(build_s);
     // The batch probe runs on the serve graph in every workload.
