@@ -1,5 +1,6 @@
 #include "primitives/cc.hpp"
 
+#include <bit>
 #include <numeric>
 
 #include "core/filter.hpp"
@@ -39,6 +40,36 @@ struct JumpFunctor {
   static void apply_vertex(VertexId, CcProblem&) {}
 };
 
+/// Upper bound on the hook rounds (BSP steps) of CC on an n-vertex graph.
+/// The count depends on which racing atomic_min lands first, so a measured
+/// enact can run more rounds than any warm-up did; the enactor reserves its
+/// round log and the caller's per-iteration record to this bound up front.
+///
+/// After each round's pointer jumping every label is a root, and a root is
+/// the smallest id in its tree (labels only fall, from the identity). Call a
+/// tree live while an edge joins it to another tree. However lanes race:
+///  (a) a tree with a lower-labelled neighbour at round start hooks (its
+///      root is lowered) in that round — the joining edge reads the tree's
+///      own label and a smaller one;
+///  (b) a live tree S that neither hooks nor absorbs another tree in a
+///      round lowers, through each edge whose far endpoint is not a root,
+///      that endpoint's root to at most S's label; so by the next round S
+///      has absorbed that tree or has a lower neighbour and hooks by (a).
+///      If every far endpoint is a root, its tree has S as a lower
+///      neighbour and hooks in this round by (a), so in the next round no
+///      far endpoint is a root.
+/// So a live root that is still a root three rounds later has absorbed a
+/// tree that was live three rounds earlier; trees are disjoint, so the live
+/// roots at least halve every three rounds: after 3*ceil(log2 n) rounds
+/// none is live, and one more round sees no change and converges. (With
+/// round-start reads they halve every two rounds; a racing read can
+/// redirect a hook mid-round, which the argument above covers with the
+/// third.) Exceeding the bound would cost an allocation, never a wrong
+/// label.
+std::size_t cc_max_rounds(std::size_t n) {
+  return 3 * static_cast<std::size_t>(std::bit_width(n > 1 ? n - 1 : 0)) + 1;
+}
+
 /// CC as an operator program. One step = one hook round over the shrinking
 /// edge frontier followed by full pointer-jump compression (both phases on
 /// shrinking frontiers, per Figure 6); converged when a hook round moved no
@@ -72,6 +103,12 @@ struct CcProgram {
     std::iota(p.comp.begin(), p.comp.end(), VertexId{0});
     edge_frontier.resize(p.edge_src.size());
     std::iota(edge_frontier.begin(), edge_frontier.end(), 0u);
+    // The ping-pong swaps in step() hand either buffer of a pair either
+    // role, and the swap parity varies with the racy round count, so both
+    // buffers of each pair hold full capacity.
+    next_edges.reserve(p.edge_src.size());
+    vf.reserve(g.num_vertices());
+    nvf.reserve(g.num_vertices());
     done = false;
     jump_work = 0;
   }
@@ -105,6 +142,9 @@ void CcEnactor::enact(const Csr& g, CcResult& out) {
   Timer wall;
   begin_enact();
   CcProgram prog{problem_, edge_frontier_, next_edges_, vf_, nvf_};
+  const std::size_t max_rounds = cc_max_rounds(g.num_vertices());
+  log_.reserve(max_rounds);
+  out.summary.per_iteration.reserve(max_rounds);
   const std::uint64_t hook_work = run_program(g, prog);
 
   out.component = problem_.comp;

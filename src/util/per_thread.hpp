@@ -2,12 +2,11 @@
 // parallel kernels (the host-side analog of a GPU's per-CTA staging +
 // final scatter).
 //
-// Note: the core operators (advance/filter/split_near_far) no longer use
-// this — they emit through the two-phase count/scan/scatter assembler
-// (simt::ChunkedOutput), which is allocation-free in steady state and
-// produces deterministic output order. PerThread remains for the baseline
-// engines, whose published designs have unordered output queues, and for
-// one-shot utilities (frontier sampling) off the hot path.
+// Note: the core operators (advance/filter/split_near_far/sample) no
+// longer use this — they emit through the two-phase count/scan/scatter
+// assembler (simt::ChunkedOutput), which is allocation-free in steady state
+// and produces deterministic output order. PerThread remains for the
+// baseline engines, whose published designs have unordered output queues.
 #pragma once
 
 #include <omp.h>

@@ -16,6 +16,8 @@
 //     the same results as a cold one (workspace reuse and cross-primitive
 //     interleaving never leak state between queries).
 #include <gtest/gtest.h>
+
+#include <algorithm>
 #include <omp.h>
 
 #include "api/engine.hpp"
@@ -187,7 +189,22 @@ TEST(EngineParity, DirectedGraphsRequireExplicitTranspose) {
 // reused result object, and from then on the query must allocate NOTHING —
 // not one heap allocation per enact, independent of BSP iteration count.
 // This is the acceptance bar for BFS, SSSP, BC, CC, and PageRank, and is
-// held by every other primitive too.
+// held by every other primitive too. Each case measures kSteadyRepeats
+// enacts and asserts on the worst one: under several host threads an
+// allocation that depends on the schedule (a racy round count, a
+// ping-pong swap parity) shows up in only some enacts.
+
+constexpr int kSteadyRepeats = 20;
+
+/// The most heap allocations any one of kSteadyRepeats calls of `enact`
+/// performed.
+template <typename Fn>
+std::uint64_t max_allocations_per_enact(Fn&& enact) {
+  std::uint64_t worst = 0;
+  for (int i = 0; i < kSteadyRepeats; ++i)
+    worst = std::max(worst, allocations_during(enact));
+  return worst;
+}
 
 TEST(EngineSteadyState, BfsAllocFree) {
   const Csr& g = serving_graph();
@@ -198,7 +215,7 @@ TEST(EngineSteadyState, BfsAllocFree) {
   BfsResult r;
   eng.bfs(kSrc, r, q);
   eng.bfs(kSrc, r, q);
-  EXPECT_EQ(allocations_during([&] { eng.bfs(kSrc, r, q); }), 0u);
+  EXPECT_EQ(max_allocations_per_enact([&] { eng.bfs(kSrc, r, q); }), 0u);
   EXPECT_FALSE(r.depth.empty());
 }
 
@@ -209,7 +226,7 @@ TEST(EngineSteadyState, SsspAllocFree) {
   SsspResult r;
   eng.sssp(kSrc, r);
   eng.sssp(kSrc, r);
-  EXPECT_EQ(allocations_during([&] { eng.sssp(kSrc, r); }), 0u);
+  EXPECT_EQ(max_allocations_per_enact([&] { eng.sssp(kSrc, r); }), 0u);
   // The near/far schedule must actually have run for this to mean much.
   EXPECT_GT(r.pq_stats.splits, 0u);
 }
@@ -221,7 +238,7 @@ TEST(EngineSteadyState, BcAllocFree) {
   BcResult r;
   eng.bc(kSrc, r);
   eng.bc(kSrc, r);
-  EXPECT_EQ(allocations_during([&] { eng.bc(kSrc, r); }), 0u);
+  EXPECT_EQ(max_allocations_per_enact([&] { eng.bc(kSrc, r); }), 0u);
   EXPECT_FALSE(r.bc_values.empty());
 }
 
@@ -232,7 +249,7 @@ TEST(EngineSteadyState, CcAllocFree) {
   CcResult r;
   eng.cc(r);
   eng.cc(r);
-  EXPECT_EQ(allocations_during([&] { eng.cc(r); }), 0u);
+  EXPECT_EQ(max_allocations_per_enact([&] { eng.cc(r); }), 0u);
   EXPECT_GT(r.num_components, 0u);
 }
 
@@ -243,7 +260,7 @@ TEST(EngineSteadyState, PagerankAllocFree) {
   PagerankResult r;
   eng.pagerank(r);
   eng.pagerank(r);
-  EXPECT_EQ(allocations_during([&] { eng.pagerank(r); }), 0u);
+  EXPECT_EQ(max_allocations_per_enact([&] { eng.pagerank(r); }), 0u);
   EXPECT_FALSE(r.rank.empty());
 }
 
@@ -263,11 +280,11 @@ TEST(EngineSteadyState, RemainingPrimitivesAllocFree) {
     eng.hits(hits);
     eng.salsa(salsa);
   }
-  EXPECT_EQ(allocations_during([&] { eng.coloring(col); }), 0u);
-  EXPECT_EQ(allocations_during([&] { eng.mis(mis); }), 0u);
-  EXPECT_EQ(allocations_during([&] { eng.mst(mst); }), 0u);
-  EXPECT_EQ(allocations_during([&] { eng.hits(hits); }), 0u);
-  EXPECT_EQ(allocations_during([&] { eng.salsa(salsa); }), 0u);
+  EXPECT_EQ(max_allocations_per_enact([&] { eng.coloring(col); }), 0u);
+  EXPECT_EQ(max_allocations_per_enact([&] { eng.mis(mis); }), 0u);
+  EXPECT_EQ(max_allocations_per_enact([&] { eng.mst(mst); }), 0u);
+  EXPECT_EQ(max_allocations_per_enact([&] { eng.hits(hits); }), 0u);
+  EXPECT_EQ(max_allocations_per_enact([&] { eng.salsa(salsa); }), 0u);
 }
 
 TEST(EngineSteadyState, BatchBfsAllocFree) {
@@ -280,7 +297,8 @@ TEST(EngineSteadyState, BatchBfsAllocFree) {
   BatchBfsResult r;
   eng.batch_bfs(sources, r, q);
   eng.batch_bfs(sources, r, q);
-  EXPECT_EQ(allocations_during([&] { eng.batch_bfs(sources, r, q); }), 0u);
+  EXPECT_EQ(
+      max_allocations_per_enact([&] { eng.batch_bfs(sources, r, q); }), 0u);
   EXPECT_EQ(r.num_lanes, 64u);
 }
 
@@ -297,7 +315,8 @@ TEST(EngineSteadyState, BatchSsspNearConstantAllocs) {
   // The per-lane stats vector is moved out to the caller each enact
   // (take_lane_stats), so the steady state is a small constant — never
   // proportional to iterations or priority levels.
-  EXPECT_LE(allocations_during([&] { eng.batch_sssp(sources, r, q); }), 4u);
+  EXPECT_LE(
+      max_allocations_per_enact([&] { eng.batch_sssp(sources, r, q); }), 4u);
   EXPECT_EQ(r.num_lanes, 64u);
 }
 

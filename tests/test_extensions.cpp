@@ -2,7 +2,9 @@
 // neighbor_reduce (gather-reduce), frontier sampling, HITS, and MIS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
 
 #include "core/neighbor_reduce.hpp"
@@ -96,6 +98,9 @@ TEST(Sample, DeterministicAndApproximatelySized) {
   EXPECT_NEAR(static_cast<double>(a.size()), 2500.0, 250.0);
   // Survivors are a subset of the input.
   for (std::uint32_t v : a.items()) EXPECT_LT(v, 10000u);
+  // Survivors keep input order: from an iota input they strictly increase.
+  EXPECT_TRUE(std::is_sorted(a.items().begin(), a.items().end(),
+                             std::less_equal<>()));
 }
 
 TEST(Sample, DifferentRoundsDiffer) {
