@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark): operator-level costs underlying the
-// paper tables — advance strategies on fixed frontiers, filter/compact,
-// scan, and the kernel-launch overhead that drives the fusion argument.
+// paper tables — advance strategies on fixed frontiers, neighbor-reduce,
+// filter/compact, scan, and the kernel-launch overhead that drives the
+// fusion argument.
 // These report host wall-clock of the emulation (per-op relative costs),
 // plus the simulated device time as a counter.
 #include <benchmark/benchmark.h>
@@ -12,9 +13,11 @@
 #define GRX_ALLOC_PROBE_IMPLEMENT
 #include "alloc_probe.hpp"
 
+#include "api/engine.hpp"
 #include "bench_common.hpp"
 #include "core/advance.hpp"
 #include "core/filter.hpp"
+#include "core/neighbor_reduce.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "primitives/batch.hpp"
@@ -102,6 +105,76 @@ BENCHMARK(BM_AdvanceLb_ScaleFree);
 BENCHMARK(BM_AdvanceThreadFine_Mesh);
 BENCHMARK(BM_AdvanceTwc_Mesh);
 BENCHMARK(BM_AdvanceLb_Mesh);
+
+// Gather-reduce over every vertex's neighborhood (PageRank's gather shape)
+// on a warm workspace: the kAuto mapping picks edge chunks on the
+// power-law graph and the per-warp mapping on the mesh.
+struct GatherProblem {
+  std::vector<double> value;
+};
+
+void run_neighbor_reduce(benchmark::State& state, const Csr& g) {
+  simt::Device dev;
+  GatherProblem p;
+  p.value.assign(g.num_vertices(), 1.0 / g.num_vertices());
+  Frontier in;
+  in.assign_iota(g.num_vertices());
+  std::vector<double> out;
+  AdvanceWorkspace ws;
+  auto gather = [&] {
+    dev.reset();
+    neighbor_reduce<double>(
+        dev, g, in, out, p, 0.0,
+        [](VertexId, VertexId u, EdgeId, GatherProblem& prob) {
+          return prob.value[u];
+        },
+        [](double a, double b) { return a + b; }, AdvanceConfig{}, ws);
+  };
+  gather();  // warm-up: size the pooled scratch
+  for (auto _ : state) {
+    gather();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["sim_device_ms"] = dev.counters().time_ms();
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(g.num_edges()));
+}
+
+void BM_NeighborReduce_ScaleFree(benchmark::State& s) {
+  run_neighbor_reduce(s, scale_free());
+}
+void BM_NeighborReduce_Mesh(benchmark::State& s) {
+  run_neighbor_reduce(s, mesh());
+}
+BENCHMARK(BM_NeighborReduce_ScaleFree);
+BENCHMARK(BM_NeighborReduce_Mesh);
+
+// Twenty unpruned PageRank iterations on a warm Engine (the analytics
+// configuration): host wall time, simulated device time, and heap
+// allocations per call (acceptance: 0).
+void BM_PagerankPowerLaw(benchmark::State& state) {
+  const Csr& g = scale_free();
+  simt::Device dev;
+  Engine engine(dev, g);
+  QueryOptions q;
+  q.epsilon = 0.0;
+  q.max_iterations = 20;
+  PagerankResult r;
+  engine.pagerank(r, q);  // warm-up: symmetry check and pooled buffers
+  std::uint64_t allocs = 0, runs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    engine.pagerank(r, q);
+    allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
+    ++runs;
+    benchmark::DoNotOptimize(r.rank.data());
+  }
+  state.counters["sim_device_ms"] = r.summary.device_time_ms;
+  state.counters["allocs_per_run"] =
+      static_cast<double>(allocs) / static_cast<double>(runs ? runs : 1);
+}
+BENCHMARK(BM_PagerankPowerLaw)->Unit(benchmark::kMillisecond);
 
 void BM_FilterCompact(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

@@ -69,7 +69,7 @@ CcResult Engine::cc(const QueryOptions& opts) {
 void Engine::pagerank(PagerankResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
   pr_.set_cancel(opts.cancel);
-  pr_.enact(*g_, opts.to_pagerank(), out);
+  pr_.enact(*g_, in_edges(), opts.to_pagerank(), out);
 }
 PagerankResult Engine::pagerank(const QueryOptions& opts) {
   PagerankResult out;
@@ -110,12 +110,24 @@ MstResult Engine::mst(const QueryOptions& opts) {
   return out;
 }
 
+bool Engine::graph_symmetric() {
+  if (symmetry_ == Symmetry::kUnknown)
+    symmetry_ = is_symmetric(*g_) ? Symmetry::kYes : Symmetry::kNo;
+  return symmetry_ == Symmetry::kYes;
+}
+
+const Csr& Engine::in_edges() {
+  if (transpose_explicit_) return *gT_;
+  if (graph_symmetric()) return *g_;
+  if (!owned_transpose_) owned_transpose_ = grx::transpose(*g_);
+  return *owned_transpose_;
+}
+
 void Engine::require_transpose() {
-  if (transpose_explicit_ || symmetry_verified_) return;
-  GRX_CHECK_MSG(is_symmetric(*g_),
+  if (transpose_explicit_) return;
+  GRX_CHECK_MSG(graph_symmetric(),
                 "Engine::hits/salsa on a directed graph requires the "
                 "transpose constructor Engine(dev, g, transpose)");
-  symmetry_verified_ = true;
 }
 
 void Engine::hits(HitsResult& out, const QueryOptions& opts) {

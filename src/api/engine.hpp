@@ -28,6 +28,7 @@
 #pragma once
 
 #include <atomic>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -53,15 +54,17 @@ class Engine {
   /// Binds the engine to `dev` and `g` (both captured by reference and
   /// must outlive the engine). HITS/SALSA treat `g` as its own transpose —
   /// valid only for symmetric (undirected) graphs, which the first such
-  /// query verifies once (GRX_CHECK; O(E log E), cached). Directed graphs
-  /// must use the transpose-supplying constructor.
+  /// query verifies once (GRX_CHECK; cached, allocation-free on sorted
+  /// neighbor lists). Directed graphs must use the transpose-supplying
+  /// constructor for them. PageRank gathers over `g` when it is symmetric
+  /// and otherwise over a transpose the engine builds once per binding.
   Engine(simt::Device& dev, const Csr& g)
       : Engine(dev, g, g) {
     transpose_explicit_ = false;
   }
 
-  /// As above with an explicit transpose for the bipartite ranking
-  /// primitives (HITS/SALSA gather over reverse edges).
+  /// As above with an explicit transpose for the primitives that gather
+  /// over reverse edges (PageRank, HITS, SALSA).
   Engine(simt::Device& dev, const Csr& g, const Csr& transpose)
       : dev_(&dev),
         g_(&g),
@@ -89,8 +92,9 @@ class Engine {
   /// a server worker points its pooled engine at a newer DynamicGraph
   /// snapshot without rebuilding enactors. Pooled state is retained
   /// (buffers re-size per enact, so only a grown edge count allocates);
-  /// the symmetry cache resets, and HITS/SALSA again treat the graph as
-  /// its own transpose until rebind(g, transpose) supplies one. Requires
+  /// the symmetry cache and any engine-built transpose are dropped, and
+  /// HITS/SALSA again treat the graph as its own transpose until
+  /// rebind(g, transpose) supplies one. Requires
   /// no query in flight (throws CheckError otherwise). The new graph is
   /// captured by reference and must stay alive across subsequent queries
   /// — for snapshots, hold the SnapshotView for the duration.
@@ -103,7 +107,8 @@ class Engine {
     g_ = &g;
     gT_ = &transpose;
     transpose_explicit_ = true;
-    symmetry_verified_ = false;
+    symmetry_ = Symmetry::kUnknown;
+    owned_transpose_.reset();
     // Drop the cached SSSP delta heuristic with the symmetry cache: the
     // new epoch's vertex/edge counts may differ, and a stale delta would
     // silently change the near/far schedule (auto_delta also re-keys by
@@ -203,6 +208,14 @@ class Engine {
   /// so the first such query checks structural symmetry once.
   void require_transpose();
 
+  /// is_symmetric(graph()), computed at the first query that needs it and
+  /// cached until rebind.
+  bool graph_symmetric();
+
+  /// The reverse edges PageRank gathers over: the explicit transpose, else
+  /// `g` itself when symmetric, else a transpose built once per binding.
+  const Csr& in_edges();
+
   /// Cached sssp_auto_delta for the bound graph, keyed by its
   /// vertex/edge counts (the heuristic's only inputs): repeated SSSP
   /// queries skip the recompute, and a rebind to a grown snapshot — or
@@ -252,7 +265,9 @@ class Engine {
   const Csr* g_;
   const Csr* gT_;
   bool transpose_explicit_ = true;
-  bool symmetry_verified_ = false;
+  enum class Symmetry : std::uint8_t { kUnknown, kYes, kNo };
+  Symmetry symmetry_ = Symmetry::kUnknown;
+  std::optional<Csr> owned_transpose_;  ///< in_edges() of a directed g
 
   // auto_delta() cache (see above).
   bool delta_cached_ = false;

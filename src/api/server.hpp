@@ -360,8 +360,8 @@ struct ServerOptions {
   std::uint32_t coalesce_window_us = 200;
   /// OpenMP threads each worker's kernels may use. 0 = leave the
   /// runtime's default (beware oversubscription: workers multiply).
-  /// 1 pins workers' kernels serial — required for byte-identical
-  /// FP-valued results (PageRank) against a single-thread oracle.
+  /// 1 pins workers' kernels serial. Served bytes, PageRank's included,
+  /// are the same at any setting.
   std::uint32_t omp_threads_per_worker = 0;
 
   // --- bounded admission / overload policy ---

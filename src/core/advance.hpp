@@ -71,9 +71,8 @@ struct AdvanceConfig {
   /// TWC size-class boundaries (paper Figure 4: 32 and 256).
   std::uint32_t twc_warp_threshold = 32;
   std::uint32_t twc_cta_threshold = 256;
-  /// When false, accepted edges do not emit output-frontier entries
-  /// (PageRank's advance computes in place; its frontier is maintained by
-  /// the filter step alone).
+  /// When false, accepted edges do not emit output-frontier entries (an
+  /// advance that only computes in place, as BC's dependency sweeps do).
   bool collect_outputs = true;
 };
 
@@ -176,6 +175,24 @@ inline void prepare_frontier(simt::Device& dev, const Csr& g,
                   /*fused=*/true);
   ws.frontier_edges = ws.warp_bases[num_warps];
   ws.max_degree = max_deg;
+}
+
+/// The kAuto hybrid rule (Section 4.4), read from prepare_frontier's degree
+/// gather: skewed frontiers -> LB partitioning; evenly-distributed small
+/// degrees -> fine-grained dynamic grouping (TWC). Exact max/avg, no
+/// sampling pass. Explicit strategies pass through unchanged. Shared by the
+/// push advance and neighbor_reduce.
+inline AdvanceStrategy resolve_strategy(AdvanceStrategy s,
+                                        const AdvanceWorkspace& ws,
+                                        std::size_t frontier_size) {
+  if (s != AdvanceStrategy::kAuto) return s;
+  const double avg = frontier_size == 0
+                         ? 0.0
+                         : static_cast<double>(ws.frontier_edges) /
+                               static_cast<double>(frontier_size);
+  return (ws.max_degree > 16 * std::max(1.0, avg) || ws.max_degree > 256)
+             ? AdvanceStrategy::kLoadBalanced
+             : AdvanceStrategy::kTwc;
 }
 
 /// Runs the functor on one edge; stages dst compactly into the chunk's
@@ -511,20 +528,7 @@ AdvanceStats advance_push(simt::Device& dev, const Csr& g,
     detail::prepare_frontier(dev, g, in, ws);
     frontier_prepared = true;
   }
-  AdvanceStrategy s = cfg.strategy;
-  if (s == AdvanceStrategy::kAuto) {
-    // Hybrid heuristic (Section 4.4): skewed frontiers -> LB partitioning;
-    // evenly-distributed small degrees -> fine-grained dynamic grouping.
-    // Fed by the shared degree gather: exact max/avg, no sampling pass.
-    const double avg =
-        in.empty() ? 0.0
-                   : static_cast<double>(ws.frontier_edges) /
-                         static_cast<double>(in.size());
-    s = (ws.max_degree > 16 * std::max(1.0, avg) || ws.max_degree > 256)
-            ? AdvanceStrategy::kLoadBalanced
-            : AdvanceStrategy::kTwc;
-  }
-  switch (s) {
+  switch (detail::resolve_strategy(cfg.strategy, ws, in.size())) {
     case AdvanceStrategy::kThreadFine:
       return advance_thread_fine<F>(dev, g, in, out, prob, cfg, ws,
                                     frontier_prepared);

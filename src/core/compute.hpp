@@ -15,12 +15,22 @@
 
 namespace grx {
 
+/// fn(std::size_t i, std::uint32_t item, P& prob) applied to every frontier
+/// element with its position i, for steps that consume a per-item operator
+/// output (neighbor_reduce's out[i]).
+template <typename P, typename Fn>
+void compute_indexed(simt::Device& dev, const Frontier& f, P& prob, Fn&& fn) {
+  dev.for_each("compute", f.size(), [&](simt::Lane& lane, std::size_t i) {
+    lane.load_coalesced();  // queue + per-element data
+    fn(i, f.items()[i], prob);
+  });
+}
+
 /// fn(std::uint32_t item, P& prob) applied to every frontier element.
 template <typename P, typename Fn>
 void compute(simt::Device& dev, const Frontier& f, P& prob, Fn&& fn) {
-  dev.for_each("compute", f.size(), [&](simt::Lane& lane, std::size_t i) {
-    lane.load_coalesced();  // queue + per-element data
-    fn(f.items()[i], prob);
+  compute_indexed(dev, f, prob, [&](std::size_t, std::uint32_t v, P& p) {
+    fn(v, p);
   });
 }
 

@@ -6,14 +6,30 @@
 //
 // For each frontier vertex v, computes
 //     out[v] = reduce(init, map(v, u, e) for each incident edge (v,u,e))
-// with a segmented-reduction cost model (no atomics: each segment is owned
-// by one warp slice), using the same load-balanced edge partitioning as
-// the LB advance.
+// as a segmented reduction (no atomics), with the advance's workload
+// mapping chosen by the same kAuto rule from the same degree gather:
+//
+//  * per-warp   — each warp owns 32 consecutive segments and sweeps them
+//                 cooperatively (evenly-distributed degrees, and every
+//                 frontier below the LB node/edge threshold).
+//  * edge-chunk — the LB advance's partitioning (Davidson et al.): scan the
+//                 frontier's degrees, split the edge range into 256-edge
+//                 chunks, sorted-search each chunk's first row. A chunk
+//                 folds the rows it holds, one row sub-range at a time. A
+//                 row split across chunks is finished by a fixup that folds
+//                 the later chunks' partials into it in chunk order.
+//
+// Both mappings fix the fold order from the frontier alone, so results are
+// byte-identical across host thread counts, floating-point sums included.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "core/advance.hpp"
 #include "core/frontier.hpp"
 #include "graph/csr.hpp"
 #include "simt/device.hpp"
@@ -22,46 +38,126 @@
 namespace grx {
 
 /// Result values are written to out[i] for frontier item i (dense, aligned
-/// with the input frontier order; prior contents are destroyed). `out`'s
-/// capacity is retained across calls, so callers that keep it alive across
-/// BSP iterations (as the primitives do) pay no steady-state allocations —
-/// the same pooling discipline as the advance and filter workspaces.
+/// with the input frontier order; prior contents are destroyed). `init`
+/// must be an identity of `reduce` (0 for sums, the minimum for max): the
+/// edge-chunked mapping folds each chunk's share of a row from `init`.
+///
+/// `cfg.strategy` picks the mapping (kAuto: the advance's hybrid rule;
+/// kLoadBalanced: edge chunks; kTwc/kThreadFine: per-warp) and
+/// `cfg.lb_node_edge_threshold` is the frontier size below which LB stays
+/// per-warp, as in the advance. `ws` holds the degree gather, scan and
+/// chunk starts; `out` doubles as the carry pool (one tail slot per chunk
+/// during the call). Both keep their capacity, so callers that keep them
+/// alive across BSP iterations (as the primitives do) pay no steady-state
+/// allocations.
 ///
 /// `map(src, dst, e, prob) -> T`; `reduce(T, T) -> T`.
 template <typename T, typename P, typename MapFn, typename ReduceFn>
 void neighbor_reduce(simt::Device& dev, const Csr& g, const Frontier& in,
                      std::vector<T>& out, P& prob, T init, MapFn&& map,
-                     ReduceFn&& reduce) {
+                     ReduceFn&& reduce, const AdvanceConfig& cfg,
+                     AdvanceWorkspace& ws) {
   using CM = simt::CostModel;
   GRX_CHECK(in.kind() == FrontierKind::kVertex);
   const auto& items = in.items();
-  out.assign(items.size(), init);
-  if (items.empty()) return;
+  const std::size_t n = items.size();
+  if (n == 0) {
+    out.clear();
+    return;
+  }
 
-  // Segmented reduction at warp granularity: each warp owns 32 segments,
-  // sweeping them cooperatively — coalesced edge reads, no atomics, one
-  // coalesced result write per segment.
-  const std::size_t num_warps =
-      (items.size() + CM::kWarpSize - 1) / CM::kWarpSize;
-  dev.for_each_warp("neighbor_reduce", num_warps, [&](simt::Warp& w) {
-    const std::size_t base = w.id() * CM::kWarpSize;
-    const std::size_t lanes =
-        std::min<std::size_t>(CM::kWarpSize, items.size() - base);
-    w.load_coalesced(static_cast<unsigned>(lanes));  // segment offsets
-    std::uint64_t edges = 0;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const VertexId v = items[base + l];
-      T acc = init;
-      const EdgeId end = g.row_end(v);
-      for (EdgeId e = g.row_start(v); e < end; ++e) {
-        acc = reduce(acc, map(v, g.col_index(e), e, prob));
-        ++edges;
+  // Only a large frontier can take the edge-chunked mapping; only then is
+  // the degree gather that decides it paid for.
+  bool edge_chunked = false;
+  if (n >= cfg.lb_node_edge_threshold &&
+      (cfg.strategy == AdvanceStrategy::kAuto ||
+       cfg.strategy == AdvanceStrategy::kLoadBalanced)) {
+    detail::prepare_frontier(dev, g, items, ws);
+    edge_chunked = ws.frontier_edges > 0 &&
+                   detail::resolve_strategy(cfg.strategy, ws, n) ==
+                       AdvanceStrategy::kLoadBalanced;
+  }
+
+  if (!edge_chunked) {
+    // Segmented reduction at warp granularity: each warp owns 32 segments,
+    // sweeping them cooperatively — coalesced edge reads, no atomics, one
+    // coalesced result write per segment.
+    out.assign(n, init);
+    const std::size_t num_warps = (n + CM::kWarpSize - 1) / CM::kWarpSize;
+    dev.for_each_warp("neighbor_reduce", num_warps, [&](simt::Warp& w) {
+      const std::size_t base = w.id() * CM::kWarpSize;
+      const std::size_t lanes = std::min<std::size_t>(CM::kWarpSize, n - base);
+      w.load_coalesced(static_cast<unsigned>(lanes));  // segment offsets
+      std::uint64_t edges = 0;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const VertexId v = items[base + l];
+        T acc = init;
+        const EdgeId end = g.row_end(v);
+        for (EdgeId e = g.row_start(v); e < end; ++e) {
+          acc = reduce(acc, map(v, g.col_index(e), e, prob));
+          ++edges;
+        }
+        out[base + l] = acc;
       }
-      out[base + l] = acc;
+      w.bulk(edges, CM::kCoalesced);                   // edge sweep
+      w.load_coalesced(static_cast<unsigned>(lanes));  // result write
+    });
+    return;
+  }
+
+  // Edge-chunked: per-row edge ranks from the scan, chunk starts from the
+  // sorted search (both charged by their primitives, as in the LB advance).
+  const std::uint64_t total = ws.frontier_edges;
+  ws.offsets.resize(n + 1);
+  simt::exclusive_scan(dev, ws.degrees, std::span(ws.offsets).first(n));
+  ws.offsets[n] = total;
+  const std::uint64_t chunk = CM::kCtaSize;
+  simt::sorted_search_chunks(dev, ws.offsets, chunk, ws.lb_starts);
+  const std::size_t num_chunks = ws.lb_starts.size();
+  // Rows start at `init` (zero-degree rows keep it); slot n + c holds chunk
+  // c's partial of a row that began in an earlier chunk.
+  out.assign(n + num_chunks, init);
+  dev.for_each_warp("neighbor_reduce_lb", num_chunks, [&](simt::Warp& w) {
+    const std::uint64_t lo = w.id() * chunk;
+    const std::uint64_t hi = std::min<std::uint64_t>(lo + chunk, total);
+    std::uint32_t row = ws.lb_starts[w.id()];
+    std::uint64_t rows = 0;
+    for (std::uint64_t k = lo; k < hi; ++rows) {
+      while (ws.offsets[row + 1] <= k) ++row;  // skip zero-degree rows
+      const VertexId v = items[row];
+      const std::uint64_t row_end = std::min(ws.offsets[row + 1], hi);
+      const EdgeId first = g.row_start(v) + (k - ws.offsets[row]);
+      const EdgeId last = first + (row_end - k);
+      T acc = init;
+      for (EdgeId e = first; e < last; ++e)
+        acc = reduce(acc, map(v, g.col_index(e), e, prob));
+      out[ws.offsets[row] < lo ? n + w.id() : row] = acc;
+      k = row_end;
     }
-    w.bulk(edges, CM::kCoalesced);                   // edge sweep
-    w.load_coalesced(static_cast<unsigned>(lanes));  // result write
+    w.bulk(hi - lo, CM::kCoalesced);  // edge sweep, as in the per-warp map
+    w.alu();                          // chunk setup
+    w.bulk(rows, CM::kCoalesced);     // row and carry writes
   });
+  // Fixup: fold each carried partial into its row, in chunk order. Only a
+  // chunk's first row can have begun earlier, so one slot per chunk.
+  for (std::size_t c = 1; c < num_chunks; ++c) {
+    const std::uint32_t row = ws.lb_starts[c];
+    if (ws.offsets[row] < c * chunk) out[row] = reduce(out[row], out[n + c]);
+  }
+  dev.charge_pass("neighbor_reduce_fixup", num_chunks,
+                  2 * CM::kCoalesced, /*fused=*/true);
+  out.resize(n);
+}
+
+/// One-shot form with the default (kAuto) mapping over a temporary
+/// workspace — allocates its scratch on every call.
+template <typename T, typename P, typename MapFn, typename ReduceFn>
+void neighbor_reduce(simt::Device& dev, const Csr& g, const Frontier& in,
+                     std::vector<T>& out, P& prob, T init, MapFn&& map,
+                     ReduceFn&& reduce) {
+  AdvanceWorkspace ws;
+  neighbor_reduce<T>(dev, g, in, out, prob, init, std::forward<MapFn>(map),
+                     std::forward<ReduceFn>(reduce), AdvanceConfig{}, ws);
 }
 
 }  // namespace grx

@@ -115,6 +115,13 @@ class OpContext {
     grx::compute(dev_, in_, prob, std::forward<Fn>(fn));
   }
 
+  /// Compute step over the current frontier with each item's position,
+  /// for steps that consume a per-item operator output (neighbor_reduce).
+  template <typename P, typename Fn>
+  void compute_indexed(P& prob, Fn&& fn) {
+    grx::compute_indexed(dev_, in_, prob, std::forward<Fn>(fn));
+  }
+
   /// Compute step over all ids in [0, n).
   template <typename P, typename Fn>
   void compute_all(std::uint32_t n, P& prob, Fn&& fn) {
@@ -122,14 +129,17 @@ class OpContext {
   }
 
   /// Gather-reduce over the current frontier's neighborhoods in `g`
-  /// (defaults to the program's graph; HITS/SALSA alternate with the
-  /// transpose). `out` is caller-pooled.
+  /// (defaults to the program's graph; HITS/SALSA/PageRank gather over a
+  /// transpose). `out` is caller-pooled; the degree gather, scan and chunk
+  /// starts of the edge-chunked mapping live in the advance workspace.
+  /// `cfg` supplies the mapping strategy and the LB node/edge threshold.
   template <typename T, typename P, typename MapFn, typename ReduceFn>
   void neighbor_reduce(const Csr& g, std::vector<T>& out, P& prob, T init,
-                       MapFn&& map, ReduceFn&& reduce) {
+                       MapFn&& map, ReduceFn&& reduce,
+                       const AdvanceConfig& cfg = {}) {
     grx::neighbor_reduce<T>(dev_, g, in_, out, prob, init,
                             std::forward<MapFn>(map),
-                            std::forward<ReduceFn>(reduce));
+                            std::forward<ReduceFn>(reduce), cfg, advance_ws_);
   }
   template <typename T, typename P, typename MapFn, typename ReduceFn>
   void neighbor_reduce(std::vector<T>& out, P& prob, T init, MapFn&& map,

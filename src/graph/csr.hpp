@@ -69,9 +69,10 @@ class Csr {
 Csr transpose(const Csr& g);
 
 /// True iff the adjacency *structure* is symmetric: the multiset of edges
-/// (u, v) equals the multiset of (v, u), weights ignored. O(E log E); used
-/// as a one-time guard by consumers that treat a graph as its own
-/// transpose (Engine::hits/salsa, pull-mode callers).
+/// (u, v) equals the multiset of (v, u), weights ignored. With sorted
+/// neighbor lists O(E log d) and allocation-free; otherwise O(E log E) over
+/// two pair lists. Used as a one-time guard by consumers that treat a graph
+/// as its own transpose (Engine::pagerank/hits/salsa, gunrock_pagerank).
 bool is_symmetric(const Csr& g);
 
 }  // namespace grx

@@ -10,45 +10,38 @@
 namespace grx {
 namespace {
 
-struct DistributeFunctor {
-  /// Scatter the contribution delta to dst. Returns false: PageRank's
-  /// advance emits no output frontier (collect_outputs = false).
-  static bool cond_edge(VertexId src, VertexId dst, EdgeId, PrProblem& p) {
-    const double delta =
-        p.rank[src] / static_cast<double>(p.g->degree(src)) - p.sent[src];
-    if (delta != 0.0) simt::atomic_add(p.incoming[dst], delta);
-    return false;
-  }
-  static void apply_edge(VertexId, VertexId, EdgeId, PrProblem&) {}
-  /// Filter: keep vertices that have not converged.
-  static bool cond_vertex(VertexId v, PrProblem& p) {
-    return !p.converged[v];
-  }
+/// Filter: keep vertices that have not converged.
+struct PruneFunctor {
+  static bool cond_vertex(VertexId v, PrProblem& p) { return !p.converged[v]; }
   static void apply_vertex(VertexId, PrProblem&) {}
 };
 
-/// PageRank as an operator program: distribute-advance, two compute steps
-/// (sent bookkeeping, rank update + convergence test), prune-filter.
+double contribution(const Csr& g, VertexId v, double rank) {
+  return g.degree(v) ? rank / static_cast<double>(g.degree(v)) : 0.0;
+}
+
+/// PageRank as an operator program: gather over in-edges, fused
+/// update-and-contribute compute, prune-filter.
 struct PrProgram {
   PrProblem& p;
+  const Csr& gT;
   const PagerankOptions& opts;
-  AdvanceConfig acfg;
+  AdvanceConfig cfg;
   FilterConfig fcfg;
   std::uint32_t iter = 0;
 
   void init(OpContext& c) {
     const Csr& g = c.graph();
     const auto n = g.num_vertices();
-    p.g = &g;
     p.rank.assign(n, 1.0 / n);
-    p.incoming.assign(n, 0.0);
-    p.sent.assign(n, 0.0);
+    p.contrib.resize(n);
     p.converged.assign(n, 0);
     p.epsilon = opts.epsilon;
+    c.compute_all(n, p, [&](std::uint32_t v, PrProblem& prob) {
+      prob.contrib[v] = contribution(g, v, prob.rank[v]);
+    });
 
-    acfg.strategy = opts.strategy;
-    acfg.idempotent = true;  // atomicAdd cost is charged via the cost model
-    acfg.collect_outputs = false;
+    cfg.strategy = opts.strategy;
     iter = 0;
 
     c.frontier().assign_iota(n);
@@ -61,33 +54,41 @@ struct PrProgram {
   IterationStats step(OpContext& c) {
     const Csr& g = c.graph();
     const auto n = g.num_vertices();
-    const AdvanceStats a = c.advance<DistributeFunctor>(p, acfg);
-    // Record what each active vertex has now distributed in total.
-    c.compute(p, [&](std::uint32_t v, PrProblem& prob) {
-      if (g.degree(v))
-        prob.sent[v] = prob.rank[v] / static_cast<double>(g.degree(v));
-    });
+    // gathered[i] = sum of contrib[u] over the in-edges (u -> v_i).
+    c.neighbor_reduce<double>(
+        gT, p.gathered, p, 0.0,
+        [](VertexId, VertexId u, EdgeId, PrProblem& prob) {
+          return prob.contrib[u];
+        },
+        [](double a, double b) { return a + b; }, cfg);
+    // A full frontier sweeps every in-edge; a pruned one, its own.
+    std::uint64_t edges = gT.num_edges();
+    if (c.frontier().size() != n) {
+      edges = 0;
+      for (std::uint32_t v : c.frontier().items()) edges += gT.degree(v);
+    }
 
-    // Dangling mass: vertices with no edges spread uniformly.
+    // Dangling mass: vertices with no out-edges spread uniformly.
     double dangling = 0.0;
     for (VertexId v = 0; v < n; ++v)
       if (g.degree(v) == 0) dangling += p.rank[v];
     c.dev().charge_pass("pr_dangling", n, simt::CostModel::kCoalesced);
 
-    // PageRank update + convergence test (fused compute over all).
+    // Rank update + convergence test + the next gather's contribution.
     const double base =
         (1.0 - opts.damping) / n + opts.damping * dangling / n;
-    c.compute_all(n, p, [&](std::uint32_t v, PrProblem& prob) {
-      const double next = base + opts.damping * prob.incoming[v];
-      if (p.epsilon > 0.0 &&
-          std::abs(next - prob.rank[v]) < p.epsilon * (1.0 / n))
+    c.compute_indexed(p, [&](std::size_t i, std::uint32_t v, PrProblem& prob) {
+      const double next = base + opts.damping * prob.gathered[i];
+      if (prob.epsilon > 0.0 &&
+          std::abs(next - prob.rank[v]) < prob.epsilon * (1.0 / n))
         prob.converged[v] = 1;
       prob.rank[v] = next;
+      prob.contrib[v] = contribution(g, v, next);
     });
 
-    c.filter_frontier<DistributeFunctor>(p, fcfg);
-    const IterationStats s{0, c.frontier().size(), c.staged().size(),
-                           a.edges_processed, false};
+    c.filter_frontier<PruneFunctor>(p, fcfg);
+    const IterationStats s{0, c.frontier().size(), c.staged().size(), edges,
+                           false};
     if (opts.epsilon > 0.0) c.promote();
     ++iter;
     return s;
@@ -96,10 +97,11 @@ struct PrProgram {
 
 }  // namespace
 
-void PrEnactor::enact(const Csr& g, const PagerankOptions& opts,
+void PrEnactor::enact(const Csr& g, const Csr& gT, const PagerankOptions& opts,
                       PagerankResult& out) {
   GRX_CHECK(g.num_vertices() > 0);
-  PrProgram prog{problem_, opts, {}, {}};
+  GRX_CHECK(g.num_vertices() == gT.num_vertices());
+  PrProgram prog{problem_, gT, opts, {}, {}};
   enact_program(g, prog, out.summary);
   out.rank = problem_.rank;
 }
@@ -107,7 +109,11 @@ void PrEnactor::enact(const Csr& g, const PagerankOptions& opts,
 PagerankResult gunrock_pagerank(simt::Device& dev, const Csr& g,
                                 const PagerankOptions& opts) {
   PagerankResult out;
-  PrEnactor(dev).enact(g, opts, out);
+  if (is_symmetric(g)) {
+    PrEnactor(dev).enact(g, g, opts, out);
+  } else {
+    PrEnactor(dev).enact(g, transpose(g), opts, out);
+  }
   return out;
 }
 

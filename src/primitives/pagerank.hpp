@@ -1,6 +1,10 @@
-// PageRank (Section 5.5): the frontier starts as all vertices; each
-// iteration is one advance (scatter rank/degree to neighbors with
-// atomicAdd) plus one filter (drop vertices whose rank has converged).
+// PageRank (Section 5.5) as a gather over in-edges: the frontier starts as
+// all vertices; each iteration is one neighbor_reduce (every frontier
+// vertex sums its in-neighbors' contributions rank/outdeg, no atomics),
+// one fused compute (rank update, convergence test, and the contribution
+// the next gather reads — Section 4.3's fusion), and one filter (drop
+// vertices whose rank has converged). The gather's fold order depends on
+// the frontier alone, so ranks are byte-identical across thread counts.
 #pragma once
 
 #include "core/advance.hpp"
@@ -10,6 +14,8 @@
 namespace grx {
 
 struct PagerankOptions {
+  /// Workload mapping of the gather (neighbor_reduce): kAuto picks the
+  /// edge-chunked LB mapping for skewed frontiers, per-warp otherwise.
   AdvanceStrategy strategy = AdvanceStrategy::kAuto;
   double damping = 0.85;
   /// Per-vertex convergence threshold for frontier pruning. 0 disables
@@ -25,17 +31,17 @@ struct PagerankResult {
   EnactSummary summary;
 };
 
-// Delta-residual formulation: every vertex v keeps `sent[v]`, the
-// contribution (rank/degree) it last pushed; the advance pushes only the
-// *change* into a persistent per-vertex accumulator `incoming`. When the
-// filter prunes a converged vertex from the frontier (Section 5.5), its
-// last contribution stays in its neighbors' accumulators, so the pruning
-// error is bounded by epsilon rather than by the vertex's whole rank.
+// Pull formulation: `contrib[u]` is u's last rank divided by its
+// out-degree; an iteration gathers it over the in-edges of every frontier
+// vertex into `gathered` (aligned with the frontier). When the filter
+// prunes a converged vertex (Section 5.5), its rank and contribution
+// freeze, and its in-neighbors keep reading the frozen contribution, so
+// the pruning error is bounded by epsilon rather than by the vertex's
+// whole rank.
 struct PrProblem {
-  const Csr* g = nullptr;
   std::vector<double> rank;
-  std::vector<double> incoming;  // persistent sum of neighbor contributions
-  std::vector<double> sent;      // last contribution distributed per vertex
+  std::vector<double> contrib;   // rank / out-degree (0 when dangling)
+  std::vector<double> gathered;  // per frontier item, pooled
   std::vector<std::uint8_t> converged;
   double epsilon = 0.0;
 };
@@ -46,13 +52,17 @@ class PrEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
-  void enact(const Csr& g, const PagerankOptions& opts, PagerankResult& out);
+  /// Ranks over out-edges `g`, gathering over `gT`, g's transpose (pass
+  /// `g` itself for a symmetric graph), as HitsEnactor does.
+  void enact(const Csr& g, const Csr& gT, const PagerankOptions& opts,
+             PagerankResult& out);
 
  private:
   PrProblem problem_;
 };
 
-/// One-shot wrapper over a temporary PrEnactor.
+/// One-shot wrapper over a temporary PrEnactor. Gathers over `g` itself
+/// when it is symmetric, otherwise over a transpose built for the call.
 PagerankResult gunrock_pagerank(simt::Device& dev, const Csr& g,
                                 const PagerankOptions& opts = {});
 

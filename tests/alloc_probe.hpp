@@ -79,4 +79,13 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+// The sized aligned forms too: left to the runtime, they would free our
+// posix_memalign blocks through its own aligned path (ASan reports an
+// alloc-dealloc mismatch when an AlignedAllocator buffer is released).
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 #endif  // GRX_ALLOC_PROBE_IMPLEMENT

@@ -6,14 +6,18 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "core/advance.hpp"
 #include "core/filter.hpp"
+#include "core/neighbor_reduce.hpp"
 #include "core/priority_queue.hpp"
 #include "graph/generators.hpp"
 #include "primitives/batch.hpp"
 #include "primitives/bfs.hpp"
+#include "primitives/pagerank.hpp"
 #include "primitives/sssp.hpp"
 #include "test_common.hpp"
 
@@ -511,6 +515,145 @@ TEST(Determinism, WorkspaceReuseMatchesFreshWorkspace) {
   in.assign(small);
   advance<StatelessFunctor>(dev, g, in, out, p, cfg, reused);
   EXPECT_EQ(out.items(), run_advance(g, small, AdvanceStrategy::kAuto));
+}
+
+/// Rows of the given out-degrees; row v's j-th edge points at (v+1+j) mod n
+/// with integer weight (e * 7919) mod 1000 + 1.
+Csr graph_with_degrees(const std::vector<std::uint32_t>& degrees) {
+  const auto n = static_cast<VertexId>(degrees.size());
+  std::vector<EdgeId> offsets{0};
+  std::vector<VertexId> cols;
+  std::vector<Weight> weights;
+  for (VertexId v = 0; v < n; ++v) {
+    for (std::uint32_t j = 0; j < degrees[v]; ++j) {
+      cols.push_back((v + 1 + j) % n);
+      weights.push_back(static_cast<Weight>(cols.size() * 7919 % 1000 + 1));
+    }
+    offsets.push_back(cols.size());
+  }
+  return Csr(n, std::move(offsets), std::move(cols), std::move(weights));
+}
+
+bool same_log(const std::vector<simt::KernelStats>& a,
+              const std::vector<simt::KernelStats>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const simt::KernelStats& x, const simt::KernelStats& y) {
+                      return x.name == y.name && x.warps == y.warps &&
+                             x.total_warp_cycles == y.total_warp_cycles &&
+                             x.max_warp_cycles == y.max_warp_cycles &&
+                             x.active_lane_cycles == y.active_lane_cycles &&
+                             x.time_us == y.time_us;
+                    });
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Determinism, NeighborReduceIdenticalAcrossThreadCounts) {
+  // The edge-chunked (LB) mapping: hubs of 1000, 536 and 900 edges span
+  // several 256-edge chunks; the 536-edge hub ends exactly on a chunk
+  // boundary (1000 + 536 = 6 * 256); zero-degree rows sit between hubs;
+  // the rest are degree-1 leaves.
+  std::vector<std::uint32_t> degrees(2000, 1);
+  degrees[0] = 1000;
+  for (VertexId v = 1; v <= 5; ++v) degrees[v] = 0;
+  degrees[6] = 536;
+  for (VertexId v = 7; v <= 9; ++v) degrees[v] = 0;
+  degrees[10] = 900;
+  const Csr g = graph_with_degrees(degrees);
+  Frontier f;
+  f.assign_iota(g.num_vertices());
+  AdvanceConfig cfg;  // kAuto: the hubs make the frontier skewed
+  cfg.lb_node_edge_threshold = 1;
+
+  struct Out {
+    std::vector<double> sum;
+    std::vector<Weight> max;
+    std::vector<simt::KernelStats> log;
+  };
+  auto run = [&] {
+    simt::Device dev;
+    dev.set_profiling(true);
+    AdvanceWorkspace ws;
+    NullProblem p;
+    Out o;
+    neighbor_reduce<double>(
+        dev, g, f, o.sum, p, 0.0,
+        [&](VertexId, VertexId, EdgeId e, NullProblem&) {
+          return static_cast<double>(g.weight(e));
+        },
+        [](double a, double b) { return a + b; }, cfg, ws);
+    neighbor_reduce<Weight>(
+        dev, g, f, o.max, p, Weight{0},
+        [&](VertexId, VertexId, EdgeId e, NullProblem&) { return g.weight(e); },
+        [](Weight a, Weight b) { return std::max(a, b); }, cfg, ws);
+    o.log = dev.kernel_log();
+    return o;
+  };
+
+  ThreadRestorer restore;
+  omp_set_num_threads(1);
+  const Out ref = run();
+  ASSERT_TRUE(std::any_of(ref.log.begin(), ref.log.end(), [](const auto& k) {
+    return k.name == "neighbor_reduce_lb";
+  }));
+  ASSERT_EQ(ref.sum.size(), g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    double sum = 0.0;
+    Weight max = 0;
+    for (Weight w : g.edge_weights(v)) {
+      sum += w;
+      max = std::max(max, w);
+    }
+    EXPECT_EQ(ref.sum[v], sum) << v;
+    EXPECT_EQ(ref.max[v], max) << v;
+  }
+  for (int threads : {2, 4, 8}) {
+    omp_set_num_threads(threads);
+    const Out o = run();
+    EXPECT_TRUE(same_bytes(o.sum, ref.sum)) << threads << " threads";
+    EXPECT_EQ(o.max, ref.max) << threads << " threads";
+    EXPECT_TRUE(same_log(o.log, ref.log)) << threads << " threads";
+  }
+}
+
+TEST(Determinism, PagerankIdenticalAcrossThreadCounts) {
+  // Power-law graph with a frontier above the LB threshold, so the gather
+  // takes the edge-chunked mapping; with and without pruning.
+  const Csr g = testing::undirected(rmat(12, 16, 5));
+  PagerankOptions exact;
+  exact.epsilon = 0.0;
+  exact.max_iterations = 20;
+  const PagerankOptions pruned;  // epsilon 1e-6, up to 50 iterations
+  ThreadRestorer restore;
+  for (const PagerankOptions& opts : {exact, pruned}) {
+    auto run = [&](std::vector<simt::KernelStats>& log) {
+      simt::Device dev;
+      dev.set_profiling(true);
+      PagerankResult r;
+      PrEnactor(dev).enact(g, g, opts, r);
+      log = dev.kernel_log();
+      return r;
+    };
+    omp_set_num_threads(1);
+    std::vector<simt::KernelStats> ref_log;
+    const PagerankResult ref = run(ref_log);
+    ASSERT_TRUE(std::any_of(ref_log.begin(), ref_log.end(), [](const auto& k) {
+      return k.name == "neighbor_reduce_lb";
+    }));
+    for (int threads : {2, 4, 8}) {
+      omp_set_num_threads(threads);
+      std::vector<simt::KernelStats> log;
+      const PagerankResult r = run(log);
+      EXPECT_TRUE(same_bytes(r.rank, ref.rank)) << threads << " threads";
+      EXPECT_EQ(r.summary.device_time_ms, ref.summary.device_time_ms)
+          << threads << " threads";
+      EXPECT_EQ(r.summary.iterations, ref.summary.iterations);
+      EXPECT_TRUE(same_log(log, ref_log)) << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

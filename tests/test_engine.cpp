@@ -264,6 +264,23 @@ TEST(EngineSteadyState, PagerankAllocFree) {
   EXPECT_FALSE(r.rank.empty());
 }
 
+TEST(EngineSteadyState, PagerankGatherPathsAllocFree) {
+  // The edge-chunked gather (frontier above the LB threshold) over a
+  // symmetric graph, and over the transpose the engine builds for a
+  // directed one: the build happens once, at the first query.
+  const Csr& sym = testing::power_law_serving_graph(13);
+  const Csr directed = build_csr(rmat(13, 8, 2016));
+  for (const Csr* g : {&sym, &directed}) {
+    simt::Device dev;
+    Engine eng(dev, *g);
+    PagerankResult r;
+    eng.pagerank(r);
+    eng.pagerank(r);
+    EXPECT_EQ(max_allocations_per_enact([&] { eng.pagerank(r); }), 0u);
+    EXPECT_FALSE(r.rank.empty());
+  }
+}
+
 TEST(EngineSteadyState, RemainingPrimitivesAllocFree) {
   const Csr& g = serving_graph();
   simt::Device dev;

@@ -2,8 +2,11 @@
 
 #include <numeric>
 
+#include "api/engine.hpp"
 #include "baselines/serial/serial.hpp"
+#include "graph/builder.hpp"
 #include "graph/datasets.hpp"
+#include "graph/generators.hpp"
 #include "primitives/pagerank.hpp"
 #include "test_common.hpp"
 
@@ -132,6 +135,61 @@ TEST(Pagerank, HigherDegreeGetsMoreRankOnChain) {
   const PagerankResult r = gunrock_pagerank(dev, g, opts);
   EXPECT_GT(r.rank[3], r.rank[0]);
   EXPECT_GT(r.rank[4], r.rank[7]);
+}
+
+/// A directed power-law graph (no symmetrize) with dangling vertices.
+Csr directed_rmat(std::uint32_t scale, std::uint64_t seed) {
+  const Csr g = build_csr(rmat(scale, 8, seed));  // symmetrize = false
+  EXPECT_FALSE(is_symmetric(g));
+  VertexId dangling = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) dangling += !g.degree(v);
+  EXPECT_GT(dangling, 0u);
+  return g;
+}
+
+PagerankOptions exact_options() {
+  PagerankOptions opts;
+  opts.epsilon = 0.0;
+  opts.max_iterations = 20;
+  return opts;
+}
+
+TEST(PagerankDirected, EngineBuildsItsOwnTranspose) {
+  // Scale 13: the gather takes the edge-chunked mapping.
+  const Csr g = directed_rmat(13, 91);
+  const Csr h = directed_rmat(10, 92);
+  simt::Device dev;
+  Engine eng(dev, g);
+  QueryOptions q;
+  q.epsilon = 0.0;
+  q.max_iterations = 20;
+  EXPECT_TRUE(testing::near_vectors(eng.pagerank(q).rank,
+                                    serial::pagerank(g, 0.85, 20), 1e-10));
+  // A rebind drops the transpose built for the previous graph.
+  eng.rebind(h);
+  EXPECT_TRUE(testing::near_vectors(eng.pagerank(q).rank,
+                                    serial::pagerank(h, 0.85, 20), 1e-10));
+}
+
+TEST(PagerankDirected, EngineWithExplicitTranspose) {
+  const Csr g = directed_rmat(13, 93);
+  const Csr gT = transpose(g);
+  simt::Device dev;
+  Engine eng(dev, g, gT);
+  QueryOptions q;
+  q.epsilon = 0.0;
+  q.max_iterations = 20;
+  EXPECT_TRUE(testing::near_vectors(eng.pagerank(q).rank,
+                                    serial::pagerank(g, 0.85, 20), 1e-10));
+}
+
+TEST(PagerankDirected, OneShotWrapper) {
+  const Csr g = directed_rmat(13, 94);
+  simt::Device dev;
+  const PagerankResult r = gunrock_pagerank(dev, g, exact_options());
+  EXPECT_TRUE(
+      testing::near_vectors(r.rank, serial::pagerank(g, 0.85, 20), 1e-10));
+  EXPECT_NEAR(sum(r.rank), 1.0, 1e-9);
 }
 
 }  // namespace
