@@ -27,22 +27,12 @@ int main(int argc, char** argv) {
                                        : std::to_string(thr)};
       for (const Csr* g : {&soc, &road}) {
         simt::Device dev;
-        BfsOptions opts;
+        QueryOptions opts;
         opts.strategy = AdvanceStrategy::kLoadBalanced;
         opts.idempotent = true;
-        // Thread the threshold through the enactor's advance config.
-        AdvanceConfig probe;
-        probe.lb_node_edge_threshold = thr;
-        // gunrock_bfs exposes strategy/direction/idempotence; for the
-        // threshold we run the sweep through BfsOptions' advance fields.
-        BfsResult r;
-        {
-          simt::Device d2;
-          BfsOptions o2 = opts;
-          o2.lb_node_edge_threshold = thr;
-          r = gunrock_bfs(d2, *g, src, o2);
-          row.push_back(Table::num(r.summary.device_time_ms, 3));
-        }
+        opts.lb_node_edge_threshold = thr;
+        const BfsResult r = Engine(dev, *g).bfs(src, opts);
+        row.push_back(Table::num(r.summary.device_time_ms, 3));
       }
       t.add_row(std::move(row));
     }
@@ -63,10 +53,10 @@ int main(int argc, char** argv) {
                                               : std::to_string(delta)};
       for (const Csr* g : {&soc, &road}) {
         simt::Device dev;
-        SsspOptions opts;
+        QueryOptions opts;
         opts.use_priority_queue = delta != 0;
         opts.delta = delta;
-        const SsspResult r = gunrock_sssp(dev, *g, src, opts);
+        const SsspResult r = Engine(dev, *g).sssp(src, opts);
         row.push_back(Table::num(r.summary.device_time_ms, 3));
         row.push_back(std::to_string(r.summary.edges_processed));
       }
@@ -85,11 +75,11 @@ int main(int argc, char** argv) {
     Table t({"alpha", "kron-s ms", "edges touched"});
     for (double alpha : {2.0, 14.0, 100.0, 1e9}) {
       simt::Device dev;
-      BfsOptions opts;
+      QueryOptions opts;
       opts.direction = Direction::kOptimal;
       opts.idempotent = true;
       opts.pull_alpha = alpha;
-      const BfsResult r = gunrock_bfs(dev, kron, src, opts);
+      const BfsResult r = Engine(dev, kron).bfs(src, opts);
       t.add_row({alpha > 1e8 ? "inf (never pull)" : Table::num(alpha, 0),
                  Table::num(r.summary.device_time_ms, 3),
                  std::to_string(r.summary.edges_processed)});

@@ -25,7 +25,6 @@
 #include "bench_common.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "primitives/batch.hpp"
 
 namespace {
 
@@ -44,12 +43,13 @@ std::uint64_t verify(const Csr& g, const std::vector<VertexId>& sources,
                      const BatchSsspResult& sssp_batch,
                      const BatchSsspResult& sssp_bf_batch) {
   simt::Device dev;
+  Engine engine(dev, g);
   std::uint64_t bad = 0;
   for (std::uint32_t q = 0; q < bfs_batch.num_lanes; ++q) {
-    BfsOptions opts;
+    QueryOptions opts;
     opts.record_predecessors = false;
-    const BfsResult bfs_single = gunrock_bfs(dev, g, sources[q], opts);
-    const SsspResult sssp_single = gunrock_sssp(dev, g, sources[q]);
+    const BfsResult bfs_single = engine.bfs(sources[q], opts);
+    const SsspResult sssp_single = engine.sssp(sources[q]);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       bad += bfs_batch.depth_at(v, q) != bfs_single.depth[v];
       bad += sssp_batch.dist_at(v, q) != sssp_single.dist[v];
@@ -138,11 +138,11 @@ int main(int argc, char** argv) {
       Timer t;
       for (const VertexId s : sources) {
         simt::Device dev;
-        BfsOptions opts;
+        QueryOptions opts;
         opts.direction = Direction::kOptimal;  // paper-fastest single query
         opts.idempotent = true;
         opts.record_predecessors = false;
-        const BfsResult r = gunrock_bfs(dev, g, s, opts);
+        const BfsResult r = Engine(dev, g).bfs(s, opts);
         device_ms += r.summary.device_time_ms;
       }
       bfs_seq.wall_ms = std::min(bfs_seq.wall_ms, t.elapsed_ms());
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
       Timer t;
       for (const VertexId s : sources) {
         simt::Device dev;
-        const SsspResult r = gunrock_sssp(dev, g, s);
+        const SsspResult r = Engine(dev, g).sssp(s);
         device_ms += r.summary.device_time_ms;
       }
       sssp_seq.wall_ms = std::min(sssp_seq.wall_ms, t.elapsed_ms());

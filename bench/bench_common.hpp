@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "baselines/galois/galois.hpp"
 #include "baselines/gas/gas.hpp"
 #include "baselines/hardwired/hardwired.hpp"
@@ -21,11 +22,6 @@
 #include "baselines/serial/serial.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
-#include "primitives/bc.hpp"
-#include "primitives/bfs.hpp"
-#include "primitives/cc.hpp"
-#include "primitives/pagerank.hpp"
-#include "primitives/sssp.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -83,41 +79,41 @@ struct Cell {
 
 inline Cell run_gunrock_bfs(const Csr& g, VertexId src) {
   simt::Device dev;
-  BfsOptions opts;
+  QueryOptions opts;
   opts.direction = Direction::kOptimal;  // the paper's fastest BFS
   opts.idempotent = true;
-  const auto r = gunrock_bfs(dev, g, src, opts);
+  const auto r = Engine(dev, g).bfs(src, opts);
   return {r.summary.device_time_ms, r.summary.mteps(g.num_edges()),
           r.summary.counters.warp_efficiency(), false};
 }
 
 inline Cell run_gunrock_sssp(const Csr& g, VertexId src) {
   simt::Device dev;
-  const auto r = gunrock_sssp(dev, g, src);
+  const auto r = Engine(dev, g).sssp(src);
   return {r.summary.device_time_ms, r.summary.mteps(g.num_edges()),
           r.summary.counters.warp_efficiency(), false};
 }
 
 inline Cell run_gunrock_bc(const Csr& g, VertexId src) {
   simt::Device dev;
-  const auto r = gunrock_bc(dev, g, src);
+  const auto r = Engine(dev, g).bc(src);
   return {r.summary.device_time_ms, r.summary.mteps(2 * g.num_edges()),
           r.summary.counters.warp_efficiency(), false};
 }
 
 inline Cell run_gunrock_cc(const Csr& g, VertexId) {
   simt::Device dev;
-  const auto r = gunrock_cc(dev, g);
+  const auto r = Engine(dev, g).cc();
   return {r.summary.device_time_ms, std::nan(""),
           r.summary.counters.warp_efficiency(), false};
 }
 
 inline Cell run_gunrock_pr(const Csr& g, VertexId) {
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 0.0;
   opts.max_iterations = kPrIterations;
-  const auto r = gunrock_pagerank(dev, g, opts);
+  const auto r = Engine(dev, g).pagerank(opts);
   // Paper: "All PageRank times are normalized to one iteration."
   return {r.summary.device_time_ms / kPrIterations, std::nan(""),
           r.summary.counters.warp_efficiency(), false};

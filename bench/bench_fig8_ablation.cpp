@@ -23,11 +23,11 @@ int main(int argc, char** argv) {
   auto run_bfs = [&](const Csr& g, AdvanceStrategy strategy, bool idempotent,
                      Direction dir) {
     simt::Device dev;
-    BfsOptions opts;
+    QueryOptions opts;
     opts.strategy = strategy;
     opts.idempotent = idempotent;
     opts.direction = dir;
-    const auto r = gunrock_bfs(dev, g, src, opts);
+    const auto r = Engine(dev, g).bfs(src, opts);
     return r.summary.device_time_ms;
   };
 

@@ -7,10 +7,10 @@
 #include <cstdio>
 #include <map>
 
+#include "api/engine.hpp"
 #include "baselines/serial/serial.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "primitives/cc.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(g.num_edges()));
 
   simt::Device dev;
-  const CcResult r = gunrock_cc(dev, g);
+  const CcResult r = Engine(dev, g).cc();
   std::printf("found %u components in %.3f ms simulated (%u BSP steps)\n",
               r.num_components, r.summary.device_time_ms,
               r.summary.iterations);

@@ -12,15 +12,11 @@
 #include <cstdio>
 #include <fstream>
 
+#include "api/engine.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/mm_io.hpp"
 #include "graph/stats.hpp"
-#include "primitives/bfs.hpp"
-#include "primitives/cc.hpp"
-#include "primitives/mst.hpp"
-#include "primitives/pagerank.hpp"
-#include "primitives/sssp.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -56,17 +52,18 @@ int main(int argc, char** argv) {
       static_cast<VertexId>(cli.get_int("source", 0) %
                             std::max(1u, g.num_vertices()));
   simt::Device dev;
+  Engine engine(dev, g);
 
-  BfsOptions bfs_opts;
+  QueryOptions bfs_opts;
   bfs_opts.direction = Direction::kOptimal;
-  const BfsResult bfs = gunrock_bfs(dev, g, source, bfs_opts);
+  const BfsResult bfs = engine.bfs(source, bfs_opts);
   std::uint64_t reached = 0;
   for (auto d : bfs.depth) reached += d != kInfinity;
   std::printf("BFS      : %6.3f ms, %u levels, %llu reachable\n",
               bfs.summary.device_time_ms, bfs.summary.iterations,
               static_cast<unsigned long long>(reached));
 
-  const SsspResult sssp = gunrock_sssp(dev, g, source);
+  const SsspResult sssp = engine.sssp(source);
   std::uint64_t far = 0;
   for (auto d : sssp.dist)
     if (d != kInfinity) far = std::max<std::uint64_t>(far, d);
@@ -74,20 +71,20 @@ int main(int argc, char** argv) {
               sssp.summary.device_time_ms,
               static_cast<unsigned long long>(far));
 
-  const CcResult cc = gunrock_cc(dev, g);
+  const CcResult cc = engine.cc();
   std::printf("CC       : %6.3f ms, %u components\n",
               cc.summary.device_time_ms, cc.num_components);
 
-  PagerankOptions pr_opts;
+  QueryOptions pr_opts;
   pr_opts.epsilon = 1e-7;
-  const PagerankResult pr = gunrock_pagerank(dev, g, pr_opts);
+  const PagerankResult pr = engine.pagerank(pr_opts);
   VertexId top = 0;
   for (VertexId v = 1; v < g.num_vertices(); ++v)
     if (pr.rank[v] > pr.rank[top]) top = v;
   std::printf("PageRank : %6.3f ms, top vertex %u (%.3g)\n",
               pr.summary.device_time_ms, top, pr.rank[top]);
 
-  const MstResult mst = gunrock_mst(dev, g);
+  const MstResult mst = engine.mst();
   std::printf("MST      : %6.3f ms, forest weight %llu over %zu edges\n",
               mst.summary.device_time_ms,
               static_cast<unsigned long long>(mst.total_weight),

@@ -8,9 +8,9 @@
 // priority queue against the plain Bellman-Ford-style frontier.
 #include <cstdio>
 
+#include "api/engine.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "primitives/sssp.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -37,14 +37,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(g.num_edges() / 2));
 
   simt::Device dev;
-  SsspOptions with_pq;
+  Engine engine(dev, g);
+  QueryOptions with_pq;
   with_pq.use_priority_queue = true;
   with_pq.delta = 64;  // force delta-stepping to expose the trade-off
-  const SsspResult fast = gunrock_sssp(dev, g, depot, with_pq);
+  const SsspResult fast = engine.sssp(depot, with_pq);
 
-  SsspOptions without_pq;
+  QueryOptions without_pq;
   without_pq.use_priority_queue = false;
-  const SsspResult plain = gunrock_sssp(dev, g, depot, without_pq);
+  const SsspResult plain = engine.sssp(depot, without_pq);
 
   if (fast.dist[far_corner] == kInfinity) {
     std::printf("far corner unreachable (deletions cut it off)\n");

@@ -6,10 +6,9 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "api/engine.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "primitives/bc.hpp"
-#include "primitives/pagerank.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -47,17 +46,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(g.num_edges()));
 
   simt::Device dev;
+  Engine engine(dev, g);
 
   // Popularity: PageRank with convergence-based frontier pruning.
-  PagerankOptions pr_opts;
+  QueryOptions pr_opts;
   pr_opts.epsilon = 1e-7;
-  const PagerankResult pr = gunrock_pagerank(dev, g, pr_opts);
+  const PagerankResult pr = engine.pagerank(pr_opts);
   std::printf("PageRank: %u iterations, %.3f ms simulated\n",
               pr.summary.iterations, pr.summary.device_time_ms);
   print_top("top influencers by PageRank:", pr.rank, 10);
 
   // Brokerage: approximate BC accumulated over sampled sources.
-  const auto bc = gunrock_bc_sampled(dev, g, sources, /*seed=*/1234);
+  const auto bc = engine.bc_sampled(sources, /*seed=*/1234);
   print_top("top brokers by sampled betweenness:", bc, 10);
   return 0;
 }

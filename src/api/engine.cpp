@@ -1,19 +1,6 @@
 #include "api/engine.hpp"
 
-#include "primitives/batch.hpp"  // batch_scale_delta
-
 namespace grx {
-
-std::uint32_t Engine::auto_delta() {
-  if (!delta_cached_ || delta_key_n_ != g_->num_vertices() ||
-      delta_key_m_ != g_->num_edges()) {
-    cached_delta_ = sssp_auto_delta(*g_);
-    delta_key_n_ = g_->num_vertices();
-    delta_key_m_ = g_->num_edges();
-    delta_cached_ = true;
-  }
-  return cached_delta_;
-}
 
 // --- single-source traversal queries ----------------------------------------
 
@@ -32,9 +19,7 @@ void Engine::sssp(VertexId source, SsspResult& out,
                   const QueryOptions& opts) {
   EnactScope scope(*this);
   sssp_.set_cancel(opts.cancel);
-  SsspOptions o = opts.to_sssp();
-  if (o.use_priority_queue && o.delta == 0) o.delta = auto_delta();
-  sssp_.enact(*g_, source, o, out);
+  sssp_.enact(*g_, source, opts.to_sssp(), out);
 }
 SsspResult Engine::sssp(VertexId source, const QueryOptions& opts) {
   SsspResult out;
@@ -173,14 +158,7 @@ void Engine::batch_sssp(std::span<const VertexId> sources,
                         BatchSsspResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
   batch_.set_cancel(opts.cancel);
-  BatchOptions o = opts.to_batch();
-  // Resolve the cached heuristic through the same batch scaling the
-  // enactor would apply — the resolved schedule must be identical whether
-  // delta arrives pre-filled or the enactor derives it.
-  if (o.use_priority_queue && o.delta == 0)
-    o.delta = batch_scale_delta(auto_delta(), g_->num_vertices(),
-                                static_cast<std::uint32_t>(sources.size()));
-  batch_.sssp(*g_, sources, o, out);
+  batch_.sssp(*g_, sources, opts.to_batch(), out);
 }
 BatchSsspResult Engine::batch_sssp(std::span<const VertexId> sources,
                                    const QueryOptions& opts) {

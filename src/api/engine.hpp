@@ -20,11 +20,11 @@
 // heap allocations once warm, and by-value (`auto r = engine.bfs(src)`),
 // which allocates only the returned result buffers. All single-source and
 // batched queries share one QueryOptions surface and report the same
-// EnactSummary. The legacy gunrock_* free functions are one-shot wrappers
-// over a temporary Engine-equivalent enactor and remain supported.
+// EnactSummary. The Engine is the only query surface: a one-off query is
+// a temporary Engine (`grx::Engine(dev, g).bfs(src)`), which charges the
+// device exactly what the same query on a warm Engine does.
 //
-// Contract details and migration notes from the free functions:
-// docs/api.md.
+// Contract details: docs/api.md.
 #pragma once
 
 #include <atomic>
@@ -109,11 +109,6 @@ class Engine {
     transpose_explicit_ = true;
     symmetry_ = Symmetry::kUnknown;
     owned_transpose_.reset();
-    // Drop the cached SSSP delta heuristic with the symmetry cache: the
-    // new epoch's vertex/edge counts may differ, and a stale delta would
-    // silently change the near/far schedule (auto_delta also re-keys by
-    // graph shape, so this is belt-and-suspenders for clarity).
-    delta_cached_ = false;
   }
 
   /// True while a query is executing on this engine. An Engine is
@@ -216,15 +211,6 @@ class Engine {
   /// `g` itself when symmetric, else a transpose built once per binding.
   const Csr& in_edges();
 
-  /// Cached sssp_auto_delta for the bound graph, keyed by its
-  /// vertex/edge counts (the heuristic's only inputs): repeated SSSP
-  /// queries skip the recompute, and a rebind to a grown snapshot — or
-  /// any shape change across epochs — recomputes instead of serving the
-  /// stale value. Returns the raw single-query delta; batched callers
-  /// apply batch_scale_delta on top (the exact sizing the enactor would
-  /// derive itself — the two must never diverge).
-  std::uint32_t auto_delta();
-
   /// RAII reentry guard taken by every query entry point: one atomic RMW
   /// per query (noise next to an enactment), always on — concurrent entry
   /// is a programming error whose symptom without the guard would be
@@ -268,12 +254,6 @@ class Engine {
   enum class Symmetry : std::uint8_t { kUnknown, kYes, kNo };
   Symmetry symmetry_ = Symmetry::kUnknown;
   std::optional<Csr> owned_transpose_;  ///< in_edges() of a directed g
-
-  // auto_delta() cache (see above).
-  bool delta_cached_ = false;
-  VertexId delta_key_n_ = 0;
-  EdgeId delta_key_m_ = 0;
-  std::uint32_t cached_delta_ = 0;
 
   // One persistent enactor per primitive: each owns its Problem buffers
   // and shares the operator-workspace pooling of EnactorBase.

@@ -1,13 +1,13 @@
 // The unified query-option surface of the grx::Engine façade.
 //
 // Every primitive keeps its own narrow options struct (BfsOptions,
-// SsspOptions, ...) for direct enactor users and the legacy gunrock_*
-// wrappers; QueryOptions is the superset the Engine accepts so callers can
-// hold one options object across heterogeneous queries (a serving loop
-// does not branch on primitive kind to configure a request). Fields a
-// primitive does not consume are ignored by it; defaults match the
-// per-primitive defaults exactly, so `engine.bfs(src)` behaves like
-// `gunrock_bfs(dev, g, src)`.
+// SsspOptions, ...) for direct enactor users; QueryOptions is the superset
+// the Engine accepts so callers can hold one options object across
+// heterogeneous queries (a serving loop does not branch on primitive kind
+// to configure a request). The to_*() converters produce exactly what each
+// enactor consumes; fields a primitive does not consume are ignored by it,
+// and defaults match the per-primitive defaults exactly, so `engine.bfs(src)`
+// runs BFS with `BfsOptions{}`.
 #pragma once
 
 #include <cstdint>

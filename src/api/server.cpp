@@ -84,18 +84,25 @@ void Server::fulfill_error(const std::shared_ptr<QueryTicket::State>& s,
 
 namespace {
 
-/// May `a` and `b` share one batched enact? Same primitive, and the same
-/// canonicalized options fingerprint (FuseOptionsKey: every field the
-/// batched engine consumes) — anything else would silently serve one of
-/// them with the other's configuration. Deadlines, tokens, and the cache
-/// opt-out do NOT gate fusion: they are per-lane concerns the demux path
-/// resolves (late flag / cancel at the enact boundary / skip-publish).
-bool fuse_compatible(const QueryRequest& a, const QueryRequest& b) {
-  return a.kind == b.kind &&
-         fuse_options_key(a.kind, a.opts) == fuse_options_key(b.kind, b.opts);
+/// The ServingOptions of a `kind` query with `opts` (see server.hpp).
+ServingOptions serving_options(QueryKind kind, const QueryOptions& opts) {
+  if (coalescable(kind)) return opts.to_batch();
+  if (kind == QueryKind::kPagerank) return opts.to_pagerank();
+  return {};
 }
 
-/// The result cache key for `req` served on `epoch`: the fuse fingerprint
+/// May `a` and `b` share one batched enact? Same primitive, and equal
+/// serving options (every field the batched engine consumes) — anything
+/// else would silently serve one of them with the other's configuration.
+/// Deadlines, tokens, and the cache opt-out do NOT gate fusion: they are
+/// per-lane concerns the demux path resolves (late flag / cancel at the
+/// enact boundary / skip-publish).
+bool fuse_compatible(const QueryRequest& a, const QueryRequest& b) {
+  return a.kind == b.kind &&
+         serving_options(a.kind, a.opts) == serving_options(b.kind, b.opts);
+}
+
+/// The result cache key for `req` served on `epoch`: the serving options
 /// plus (epoch, kind, source). Whole-graph kinds normalize source to 0 —
 /// their results are source-independent.
 ServingCacheKey cache_key_of(const QueryRequest& req, Epoch epoch) {
@@ -103,7 +110,7 @@ ServingCacheKey cache_key_of(const QueryRequest& req, Epoch epoch) {
   k.epoch = epoch;
   k.kind = req.kind;
   k.source = coalescable(req.kind) ? req.source : 0;
-  k.opts = fuse_options_key(req.kind, req.opts);
+  k.opts = serving_options(req.kind, req.opts);
   return k;
 }
 

@@ -92,6 +92,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -188,63 +189,26 @@ struct QueryResult {
   Epoch epoch = 0;
 };
 
-/// The options fingerprint two queries must share to be interchangeable:
-/// every QueryOptions field the serving path consumes for the kind,
-/// normalized (fields the kind ignores are zeroed so they can neither
-/// block fusion nor split cache keys). The coalescer fuses queries whose
-/// FuseOptionsKey (and kind) match; the result cache keys on the same
-/// fingerprint plus (epoch, kind, source) — by construction a cached
-/// entry is exactly what a fused lane for the same request computes.
-struct FuseOptionsKey {
-  // Batched-engine fields (BatchOptions), set for the coalescable kinds.
-  AdvanceStrategy strategy = AdvanceStrategy::kAuto;
-  Direction direction = Direction::kPush;
-  std::uint32_t lb_node_edge_threshold = 0;
-  double pull_alpha = 0;
-  double pull_beta = 0;
-  bool use_priority_queue = false;
-  std::uint32_t delta = 0;
-  simt::VecBackend vec = simt::VecBackend::kAuto;
-  // Whole-graph solo knobs, zeroed for the coalescable kinds.
-  double damping = 0;
-  double epsilon = 0;
-  std::uint32_t max_iterations = 0;
-
-  friend bool operator==(const FuseOptionsKey&,
-                         const FuseOptionsKey&) = default;
-};
-
-/// Canonicalizes `opts` for `kind` (see FuseOptionsKey).
-inline FuseOptionsKey fuse_options_key(QueryKind kind,
-                                       const QueryOptions& opts) {
-  FuseOptionsKey k;
-  k.strategy = opts.strategy;
-  if (coalescable(kind)) {
-    k.direction = opts.direction;
-    k.lb_node_edge_threshold = opts.lb_node_edge_threshold;
-    k.pull_alpha = opts.pull_alpha;
-    k.pull_beta = opts.pull_beta;
-    k.use_priority_queue = opts.use_priority_queue;
-    k.delta = opts.delta;
-    k.vec = opts.backend.vec;
-  } else if (kind == QueryKind::kPagerank) {
-    k.damping = opts.damping;
-    k.epsilon = opts.epsilon;
-    k.max_iterations = opts.max_iterations;
-  }
-  return k;
-}
+/// The options a served query's enact consumes, exactly as its enactor
+/// receives them: BatchOptions (QueryOptions::to_batch) for the
+/// coalescable kinds, PagerankOptions (to_pagerank) for PageRank, and
+/// nothing for CC, which reads no option. Two queries of one kind are
+/// interchangeable — they may fuse into one batched enact and share one
+/// cached result — iff their ServingOptions compare equal, so the key
+/// covers every field the enactor reads without a field list of its own.
+using ServingOptions =
+    std::variant<std::monostate, BatchOptions, PagerankOptions>;
 
 /// The result cache's full key: one served result is addressed by the
 /// graph epoch it was computed on, the query kind, the source (0 for the
 /// whole-graph kinds, whose results are source-independent), and the
-/// canonicalized options. The epoch in the key is the invalidation
-/// mechanism: a publish makes every prior-epoch entry unreachable.
+/// serving options. The epoch in the key is the invalidation mechanism: a
+/// publish makes every prior-epoch entry unreachable.
 struct ServingCacheKey {
   Epoch epoch = 0;
   QueryKind kind = QueryKind::kBfs;
   VertexId source = 0;
-  FuseOptionsKey opts;
+  ServingOptions opts;
 
   friend bool operator==(const ServingCacheKey&,
                          const ServingCacheKey&) = default;
@@ -252,8 +216,9 @@ struct ServingCacheKey {
 
 struct ServingCacheKeyHash {
   std::size_t operator()(const ServingCacheKey& k) const {
-    // fnv1a-style fold over the scalar fields; equality is exact field
-    // comparison, so a collision only costs a probe, never correctness.
+    // fnv1a-style fold over (epoch, kind, source) only. Equality compares
+    // the options too, so keys that differ only in options share a bucket:
+    // that costs a probe, never correctness.
     std::size_t h = 1469598103934665603ull;
     auto mix = [&h](std::size_t v) {
       h ^= v;
@@ -262,17 +227,6 @@ struct ServingCacheKeyHash {
     mix(static_cast<std::size_t>(k.epoch));
     mix(static_cast<std::size_t>(k.kind));
     mix(static_cast<std::size_t>(k.source));
-    mix(static_cast<std::size_t>(k.opts.strategy));
-    mix(static_cast<std::size_t>(k.opts.direction));
-    mix(k.opts.lb_node_edge_threshold);
-    mix(std::hash<double>{}(k.opts.pull_alpha));
-    mix(std::hash<double>{}(k.opts.pull_beta));
-    mix(static_cast<std::size_t>(k.opts.use_priority_queue));
-    mix(k.opts.delta);
-    mix(static_cast<std::size_t>(k.opts.vec));
-    mix(std::hash<double>{}(k.opts.damping));
-    mix(std::hash<double>{}(k.opts.epsilon));
-    mix(k.opts.max_iterations);
     return h;
   }
 };

@@ -91,9 +91,12 @@ struct BatchOptions {
   /// Lane-kernel backend (simt/vec.hpp): kAuto picks the best
   /// CPU-supported vector path per enact; kScalar forces the reference
   /// loops. Results are byte-identical across backends — this knob trades
-  /// only wall clock. Part of the server's fuse-compatibility key: queries
-  /// pinning different backends never share a batch.
+  /// only wall clock.
   BackendOptions backend;
+
+  /// The server's fuse and cache key compares whole BatchOptions: queries
+  /// differing in any field never share a batch or a cached result.
+  friend bool operator==(const BatchOptions&, const BatchOptions&) = default;
 };
 
 /// Dense per-(vertex, lane) value matrix layout shared by the batched
@@ -179,7 +182,7 @@ struct BatchReachabilityResult {
 
 /// Forward (Brandes sigma-accumulation) pass of betweenness centrality for
 /// B sources at once; feeds the per-source backward sweeps of
-/// gunrock_bc_batched (primitives/bc.hpp).
+/// bc_accumulate_batched (primitives/bc.hpp).
 struct BatchBcForwardResult {
   std::uint32_t num_lanes = 0;
   /// Resolved lane-kernel backend this enact ran (observability only).

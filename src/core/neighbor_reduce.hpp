@@ -149,15 +149,4 @@ void neighbor_reduce(simt::Device& dev, const Csr& g, const Frontier& in,
   out.resize(n);
 }
 
-/// One-shot form with the default (kAuto) mapping over a temporary
-/// workspace — allocates its scratch on every call.
-template <typename T, typename P, typename MapFn, typename ReduceFn>
-void neighbor_reduce(simt::Device& dev, const Csr& g, const Frontier& in,
-                     std::vector<T>& out, P& prob, T init, MapFn&& map,
-                     ReduceFn&& reduce) {
-  AdvanceWorkspace ws;
-  neighbor_reduce<T>(dev, g, in, out, prob, init, std::forward<MapFn>(map),
-                     std::forward<ReduceFn>(reduce), AdvanceConfig{}, ws);
-}
-
 }  // namespace grx

@@ -98,17 +98,6 @@ void split_near_far(simt::Device& dev, const std::vector<std::uint32_t>& items,
   }
 }
 
-/// Convenience overload with a one-shot workspace, for callers off the
-/// steady-state path.
-template <typename Fn>
-void split_near_far(simt::Device& dev, const std::vector<std::uint32_t>& items,
-                    std::vector<std::uint32_t>& near,
-                    std::vector<std::uint32_t>& far, Fn&& is_near,
-                    PriorityQueueStats* stats = nullptr) {
-  SplitWorkspace ws;
-  split_near_far(dev, items, near, far, std::forward<Fn>(is_near), ws, stats);
-}
-
 /// Single-query priority frontier: owns the far pile, the cutoff/level
 /// state, the pooled split staging, and the schedule stats. The enactor
 /// drives it with a priority callback (SSSP passes the vertex's current

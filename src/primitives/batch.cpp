@@ -25,7 +25,7 @@
 // results are independent of edge visit order and host thread count; the
 // two-phase assembler keeps the frontier *assembly* deterministic exactly
 // as in the single-query pipeline.
-#include "primitives/batch.hpp"
+#include "core/batch_enactor.hpp"
 
 #include <omp.h>
 
@@ -551,8 +551,10 @@ void lane_sweep(simt::Device& dev, const std::vector<std::uint32_t>& fresh,
                });
 }
 
-}  // namespace
-
+/// Scales the single-query auto-delta (`sssp_auto_delta`) for a B-wide
+/// batch: 0 (schedule off) below kMinPriorityVertices or when the
+/// heuristic itself declines, else the per-lane band width the batched
+/// near/far schedule uses.
 std::uint32_t batch_scale_delta(std::uint32_t auto_delta,
                                 VertexId num_vertices, std::uint32_t b) {
   // Batch-aware sizing on top of the shared single-query heuristic: the
@@ -566,6 +568,8 @@ std::uint32_t batch_scale_delta(std::uint32_t auto_delta,
   if (num_vertices < kMinPriorityVertices || auto_delta == 0) return 0;
   return std::min(auto_delta, std::max(1u, auto_delta * 4 / b));
 }
+
+}  // namespace
 
 std::uint32_t BatchEnactor::seed(const Csr& g,
                                  std::span<const VertexId> sources) {
@@ -878,32 +882,6 @@ void BatchEnactor::bc_forward(const Csr& g,
   }
 
   finish_into(res.summary, edges, wall.elapsed_ms());
-}
-
-// --- free-function entry points ---------------------------------------------
-
-BatchBfsResult batch_bfs(simt::Device& dev, const Csr& g,
-                         std::span<const VertexId> sources,
-                         const BatchOptions& opts) {
-  return BatchEnactor(dev).bfs(g, sources, opts);
-}
-
-BatchSsspResult batch_sssp(simt::Device& dev, const Csr& g,
-                           std::span<const VertexId> sources,
-                           const BatchOptions& opts) {
-  return BatchEnactor(dev).sssp(g, sources, opts);
-}
-
-BatchReachabilityResult batch_reachability(simt::Device& dev, const Csr& g,
-                                           std::span<const VertexId> sources,
-                                           const BatchOptions& opts) {
-  return BatchEnactor(dev).reachability(g, sources, opts);
-}
-
-BatchBcForwardResult batch_bc_forward(simt::Device& dev, const Csr& g,
-                                      std::span<const VertexId> sources,
-                                      const BatchOptions& opts) {
-  return BatchEnactor(dev).bc_forward(g, sources, opts);
 }
 
 }  // namespace grx

@@ -1,9 +1,9 @@
 #include "primitives/bc.hpp"
 
+#include "core/batch_enactor.hpp"
 #include "core/compute.hpp"
 #include "core/filter.hpp"
 #include "core/program.hpp"
-#include "primitives/batch.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -175,13 +175,6 @@ void BcEnactor::backward_accumulate(const Csr& g,
   }
 }
 
-BcResult gunrock_bc(simt::Device& dev, const Csr& g, VertexId source,
-                    const BcOptions& opts) {
-  BcResult out;
-  BcEnactor(dev).enact(g, source, opts, out);
-  return out;
-}
-
 void bc_accumulate_batched(BatchEnactor& batch, BcEnactor& back,
                            const Csr& g, std::span<const VertexId> sources,
                            const BcOptions& opts, BatchBcForwardResult& fwd,
@@ -207,28 +200,6 @@ void bc_accumulate_sampled(BcEnactor& bc, const Csr& g,
     for (VertexId v = 0; v < g.num_vertices(); ++v)
       out[v] += scratch.bc_values[v];
   }
-}
-
-std::vector<double> gunrock_bc_batched(simt::Device& dev, const Csr& g,
-                                       std::span<const VertexId> sources,
-                                       const BcOptions& opts) {
-  std::vector<double> acc;
-  BatchEnactor batch(dev);
-  BcEnactor back(dev);  // one enactor: workspaces pool across lanes
-  BatchBcForwardResult fwd;
-  bc_accumulate_batched(batch, back, g, sources, opts, fwd, acc);
-  return acc;
-}
-
-std::vector<double> gunrock_bc_sampled(simt::Device& dev, const Csr& g,
-                                       std::uint32_t num_sources,
-                                       std::uint64_t seed,
-                                       const BcOptions& opts) {
-  std::vector<double> acc;
-  BcEnactor bc(dev);  // one enactor: problem pools across samples
-  BcResult scratch;
-  bc_accumulate_sampled(bc, g, num_sources, seed, opts, scratch, acc);
-  return acc;
 }
 
 }  // namespace grx

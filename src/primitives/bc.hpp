@@ -71,18 +71,15 @@ class BcEnactor : public EnactorBase {
   Frontier bwd_level_{FrontierKind::kVertex};
 };
 
-/// Single-source BC contribution from `source` (Brandes accumulation);
-/// one-shot wrapper over a temporary BcEnactor.
-BcResult gunrock_bc(simt::Device& dev, const Csr& g, VertexId source,
-                    const BcOptions& opts = {});
+// The composite BC workloads behind Engine::bc_batched and
+// Engine::bc_sampled, parameterized on caller-owned enactors and scratch
+// so the pooled state stays with the Engine. `out` is assigned in place.
 
-// Shared implementations of the composite BC workloads, parameterized on
-// caller-owned enactors and scratch so both the one-shot gunrock_*
-// wrappers and the pooled grx::Engine paths run the exact same code
-// (results stay identical by construction). `out` is assigned in place.
-
-/// Source-batched accumulation: lane-packed forward pass into `fwd`, then
-/// per-source backward sweeps folded into `out`.
+/// Source-batched accumulation: one lane-packed forward pass
+/// (BatchEnactor::bc_forward) into `fwd` computes depth + sigma for all
+/// `sources` at once, then per-source backward sweeps fold dependencies
+/// into `out`. Same result as summing single-source BC over the sources
+/// (up to floating-point association in the backward deltas).
 void bc_accumulate_batched(BatchEnactor& batch, BcEnactor& back,
                            const Csr& g, std::span<const VertexId> sources,
                            const BcOptions& opts, BatchBcForwardResult& fwd,
@@ -94,22 +91,5 @@ void bc_accumulate_sampled(BcEnactor& bc, const Csr& g,
                            std::uint32_t num_sources, std::uint64_t seed,
                            const BcOptions& opts, BcResult& scratch,
                            std::vector<double>& out);
-
-/// Accumulated BC over `num_sources` deterministic sample sources — the
-/// usual approximate-BC workload; used by the social_influence example.
-std::vector<double> gunrock_bc_sampled(simt::Device& dev, const Csr& g,
-                                       std::uint32_t num_sources,
-                                       std::uint64_t seed,
-                                       const BcOptions& opts = {});
-
-/// Source-batched accumulated BC: one lane-packed forward pass
-/// (BatchEnactor::bc_forward) computes depth + sigma for all `sources` at
-/// once, then per-source backward sweeps accumulate dependencies. Same
-/// result as summing gunrock_bc over the sources (up to floating-point
-/// association in the backward deltas), with the forward half amortized
-/// across the batch.
-std::vector<double> gunrock_bc_batched(simt::Device& dev, const Csr& g,
-                                       std::span<const VertexId> sources,
-                                       const BcOptions& opts = {});
 
 }  // namespace grx

@@ -110,11 +110,4 @@ void BfsEnactor::enact(const Csr& g, VertexId source, const BfsOptions& opts,
   out.pred = problem_.pred;
 }
 
-BfsResult gunrock_bfs(simt::Device& dev, const Csr& g, VertexId source,
-                      const BfsOptions& opts) {
-  BfsResult out;
-  BfsEnactor(dev).enact(g, source, opts, out);
-  return out;
-}
-
 }  // namespace grx

@@ -46,7 +46,7 @@ struct BfsProblem {
 /// Persistent BFS enactor (traversal state + pooled Problem). Hold one —
 /// directly or via grx::Engine — to serve repeated queries over a graph;
 /// with a reused BfsResult the steady state performs zero heap
-/// allocations. One-shot callers use gunrock_bfs.
+/// allocations.
 class BfsEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
@@ -57,10 +57,5 @@ class BfsEnactor : public EnactorBase {
  private:
   BfsProblem problem_;
 };
-
-/// Runs Gunrock BFS from `source` on the virtual device (one-shot wrapper
-/// over a temporary BfsEnactor).
-BfsResult gunrock_bfs(simt::Device& dev, const Csr& g, VertexId source,
-                      const BfsOptions& opts = {});
 
 }  // namespace grx

@@ -155,10 +155,4 @@ void CcEnactor::enact(const Csr& g, CcResult& out) {
   finish_into(out.summary, hook_work + prog.jump_work, wall.elapsed_ms());
 }
 
-CcResult gunrock_cc(simt::Device& dev, const Csr& g) {
-  CcResult out;
-  CcEnactor(dev).enact(g, out);
-  return out;
-}
-
 }  // namespace grx

@@ -47,7 +47,4 @@ class CcEnactor : public EnactorBase {
   std::vector<std::uint32_t> vf_, nvf_;
 };
 
-/// One-shot wrapper over a temporary CcEnactor.
-CcResult gunrock_cc(simt::Device& dev, const Csr& g);
-
 }  // namespace grx

@@ -115,11 +115,4 @@ void ColoringEnactor::enact(const Csr& g, std::uint64_t seed,
     out.num_colors = std::max(out.num_colors, col + 1);
 }
 
-ColoringResult gunrock_coloring(simt::Device& dev, const Csr& g,
-                                std::uint64_t seed) {
-  ColoringResult out;
-  ColoringEnactor(dev).enact(g, seed, out);
-  return out;
-}
-
 }  // namespace grx

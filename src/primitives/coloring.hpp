@@ -39,8 +39,4 @@ class ColoringEnactor : public EnactorBase {
   ColorProblem problem_;
 };
 
-/// One-shot wrapper over a temporary ColoringEnactor.
-ColoringResult gunrock_coloring(simt::Device& dev, const Csr& g,
-                                std::uint64_t seed = 2016);
-
 }  // namespace grx

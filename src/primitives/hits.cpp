@@ -81,11 +81,4 @@ void HitsEnactor::enact(const Csr& g, const Csr& gT, const HitsOptions& opts,
   out.authority = problem_.auth;
 }
 
-HitsResult gunrock_hits(simt::Device& dev, const Csr& g, const Csr& gT,
-                        const HitsOptions& opts) {
-  HitsResult out;
-  HitsEnactor(dev).enact(g, gT, opts, out);
-  return out;
-}
-
 }  // namespace grx

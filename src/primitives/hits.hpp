@@ -31,6 +31,8 @@ struct HitsProblem {
 };
 
 /// Persistent HITS enactor with pooled Problem and gather-reduce scratch.
+/// enact() runs on `g` (directed or undirected CSR) with `gT` its
+/// transpose — the same graph for undirected inputs.
 class HitsEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
@@ -42,11 +44,5 @@ class HitsEnactor : public EnactorBase {
   HitsProblem problem_;
   std::vector<double> scratch_;  // gather-reduce staging, pooled
 };
-
-/// Runs HITS on `g` (directed or undirected CSR; `gT` must be the
-/// transpose — pass the same graph for undirected inputs). One-shot
-/// wrapper over a temporary HitsEnactor.
-HitsResult gunrock_hits(simt::Device& dev, const Csr& g, const Csr& gT,
-                        const HitsOptions& opts = {});
 
 }  // namespace grx

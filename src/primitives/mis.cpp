@@ -119,10 +119,4 @@ void MisEnactor::enact(const Csr& g, std::uint64_t seed, MisResult& out) {
   finish_into(out.summary, prog.total_edges, wall.elapsed_ms());
 }
 
-MisResult gunrock_mis(simt::Device& dev, const Csr& g, std::uint64_t seed) {
-  MisResult out;
-  MisEnactor(dev).enact(g, seed, out);
-  return out;
-}
-
 }  // namespace grx

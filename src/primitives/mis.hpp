@@ -40,8 +40,4 @@ class MisEnactor : public EnactorBase {
   std::vector<std::uint64_t> nbr_max_;  // gather-reduce output, pooled
 };
 
-/// One-shot wrapper over a temporary MisEnactor.
-MisResult gunrock_mis(simt::Device& dev, const Csr& g,
-                      std::uint64_t seed = 2016);
-
 }  // namespace grx

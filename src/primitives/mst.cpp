@@ -205,10 +205,4 @@ void MstEnactor::enact(const Csr& g, MstResult& out) {
   finish_into(out.summary, work, wall.elapsed_ms());
 }
 
-MstResult gunrock_mst(simt::Device& dev, const Csr& g) {
-  MstResult out;
-  MstEnactor(dev).enact(g, out);
-  return out;
-}
-
 }  // namespace grx

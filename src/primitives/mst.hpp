@@ -42,6 +42,9 @@ struct MstProblem {
 };
 
 /// Persistent Borůvka enactor with pooled Problem and round scratch.
+/// Computes a minimum spanning forest of the undirected weighted graph.
+/// Ties are broken by edge id, so the result is deterministic; the total
+/// weight equals that of every MSF of the graph.
 class MstEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
@@ -54,11 +57,5 @@ class MstEnactor : public EnactorBase {
   std::vector<std::uint8_t> in_mst_;
   std::vector<VertexId> partner_;
 };
-
-/// Computes a minimum spanning forest of the undirected weighted graph.
-/// Ties are broken by edge id, so the result is deterministic; the total
-/// weight equals that of every MSF of the graph. One-shot wrapper over a
-/// temporary MstEnactor.
-MstResult gunrock_mst(simt::Device& dev, const Csr& g);
 
 }  // namespace grx

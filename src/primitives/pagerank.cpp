@@ -106,15 +106,4 @@ void PrEnactor::enact(const Csr& g, const Csr& gT, const PagerankOptions& opts,
   out.rank = problem_.rank;
 }
 
-PagerankResult gunrock_pagerank(simt::Device& dev, const Csr& g,
-                                const PagerankOptions& opts) {
-  PagerankResult out;
-  if (is_symmetric(g)) {
-    PrEnactor(dev).enact(g, g, opts, out);
-  } else {
-    PrEnactor(dev).enact(g, transpose(g), opts, out);
-  }
-  return out;
-}
-
 }  // namespace grx

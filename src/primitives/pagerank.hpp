@@ -24,6 +24,9 @@ struct PagerankOptions {
   /// "all PageRank times are normalized to one iteration").
   double epsilon = 1e-6;
   std::uint32_t max_iterations = 50;
+
+  friend bool operator==(const PagerankOptions&,
+                         const PagerankOptions&) = default;
 };
 
 struct PagerankResult {
@@ -60,10 +63,5 @@ class PrEnactor : public EnactorBase {
  private:
   PrProblem problem_;
 };
-
-/// One-shot wrapper over a temporary PrEnactor. Gathers over `g` itself
-/// when it is symmetric, otherwise over a transpose built for the call.
-PagerankResult gunrock_pagerank(simt::Device& dev, const Csr& g,
-                                const PagerankOptions& opts = {});
 
 }  // namespace grx

@@ -90,11 +90,4 @@ void SalsaEnactor::enact(const Csr& g, const Csr& gT,
   out.authority = problem_.auth;
 }
 
-SalsaResult gunrock_salsa(simt::Device& dev, const Csr& g, const Csr& gT,
-                          const SalsaOptions& opts) {
-  SalsaResult out;
-  SalsaEnactor(dev).enact(g, gT, opts, out);
-  return out;
-}
-
 }  // namespace grx

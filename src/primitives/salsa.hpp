@@ -35,6 +35,9 @@ struct SalsaProblem {
 };
 
 /// Persistent SALSA enactor with pooled Problem and gather-reduce scratch.
+/// enact() runs on directed `g` with transpose `gT` (the same graph for
+/// undirected inputs). Vertices with no out-edges have hub score 0; with
+/// no in-edges, authority 0.
 class SalsaEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
@@ -46,12 +49,5 @@ class SalsaEnactor : public EnactorBase {
   SalsaProblem problem_;
   std::vector<double> scratch_;  // gather-reduce staging, pooled
 };
-
-/// Runs SALSA on directed `g` with transpose `gT` (pass g twice for
-/// undirected graphs). Vertices with no out-edges have hub score 0; with
-/// no in-edges, authority 0. One-shot wrapper over a temporary
-/// SalsaEnactor.
-SalsaResult gunrock_salsa(simt::Device& dev, const Csr& g, const Csr& gT,
-                          const SalsaOptions& opts = {});
 
 }  // namespace grx

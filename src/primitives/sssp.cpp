@@ -150,11 +150,4 @@ std::uint32_t sssp_auto_delta(const Csr& g) {
       std::max(1.0, 32.5 * std::max(1.0, avg_deg / 8.0)));
 }
 
-SsspResult gunrock_sssp(simt::Device& dev, const Csr& g, VertexId source,
-                        const SsspOptions& opts) {
-  SsspResult out;
-  SsspEnactor(dev).enact(g, source, opts, out);
-  return out;
-}
-
 }  // namespace grx

@@ -75,9 +75,4 @@ class SsspEnactor : public EnactorBase {
 /// an *optional* optimization in the paper, Section 5.2).
 std::uint32_t sssp_auto_delta(const Csr& g);
 
-/// Runs Gunrock SSSP from `source` (one-shot wrapper over a temporary
-/// SsspEnactor). The graph must carry edge weights.
-SsspResult gunrock_sssp(simt::Device& dev, const Csr& g, VertexId source,
-                        const SsspOptions& opts = {});
-
 }  // namespace grx

@@ -710,6 +710,9 @@ struct BackendOptions {
   /// resolves to the best CPU-supported path at enact time; kScalar forces
   /// the reference loops (results are byte-identical either way).
   simt::VecBackend vec = simt::VecBackend::kAuto;
+
+  friend bool operator==(const BackendOptions&,
+                         const BackendOptions&) = default;
 };
 
 }  // namespace grx

@@ -6,11 +6,8 @@
 #include <numeric>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "baselines/serial/serial.hpp"
-#include "primitives/batch.hpp"
-#include "primitives/bc.hpp"
-#include "primitives/bfs.hpp"
-#include "primitives/sssp.hpp"
 #include "test_common.hpp"
 
 namespace grx {
@@ -37,15 +34,16 @@ TEST(Batch, BfsMatchesSingleQueryPerLane) {
     // Both the push-only default and the direction-optimal mode (legal
     // here: batch_graphs() are symmetrized) must match single-query runs.
     for (const Direction dir : {Direction::kPush, Direction::kOptimal}) {
-      BatchOptions bopts;
+      QueryOptions bopts;
       bopts.direction = dir;
       simt::Device dev;
-      const BatchBfsResult batch = batch_bfs(dev, g, sources, bopts);
+      Engine eng(dev, g);
+      const BatchBfsResult batch = eng.batch_bfs(sources, bopts);
       ASSERT_EQ(batch.num_lanes, sources.size());
       for (std::uint32_t q = 0; q < batch.num_lanes; ++q) {
-        BfsOptions opts;
+        QueryOptions opts;
         opts.record_predecessors = false;
-        const BfsResult single = gunrock_bfs(dev, g, sources[q], opts);
+        const BfsResult single = eng.bfs(sources[q], opts);
         for (VertexId v = 0; v < g.num_vertices(); ++v)
           ASSERT_EQ(batch.depth_at(v, q), single.depth[v])
               << "lane " << q << " vertex " << v << " dir "
@@ -60,15 +58,16 @@ TEST(Batch, BfsMultiWordLanes) {
   // direction-optimal mode so the multi-word pull path runs too.
   const Csr g = testing::undirected(rmat(9, 12, 11));
   const auto sources = pick_sources(g, 130);
-  BatchOptions bopts;
+  QueryOptions bopts;
   bopts.direction = Direction::kOptimal;
   simt::Device dev;
-  const BatchBfsResult batch = batch_bfs(dev, g, sources, bopts);
+  Engine eng(dev, g);
+  const BatchBfsResult batch = eng.batch_bfs(sources, bopts);
   ASSERT_EQ(batch.num_lanes, 130u);
-  BfsOptions opts;
+  QueryOptions opts;
   opts.record_predecessors = false;
   for (std::uint32_t q = 0; q < batch.num_lanes; ++q) {
-    const BfsResult single = gunrock_bfs(dev, g, sources[q], opts);
+    const BfsResult single = eng.bfs(sources[q], opts);
     for (VertexId v = 0; v < g.num_vertices(); ++v)
       ASSERT_EQ(batch.depth_at(v, q), single.depth[v])
           << "lane " << q << " vertex " << v;
@@ -83,11 +82,12 @@ TEST(Batch, DirectedGraphDefaultsToCorrectPushTraversal) {
   const Csr g = build_csr(rmat(10, 8, 13), bo);
   const auto sources = pick_sources(g, 5);
   simt::Device dev;
-  const BatchBfsResult batch = batch_bfs(dev, g, sources);  // defaults
+  Engine eng(dev, g);
+  const BatchBfsResult batch = eng.batch_bfs(sources);  // defaults
   for (std::uint32_t q = 0; q < batch.num_lanes; ++q) {
-    BfsOptions opts;
+    QueryOptions opts;
     opts.record_predecessors = false;
-    const BfsResult single = gunrock_bfs(dev, g, sources[q], opts);
+    const BfsResult single = eng.bfs(sources[q], opts);
     for (VertexId v = 0; v < g.num_vertices(); ++v)
       ASSERT_EQ(batch.depth_at(v, q), single.depth[v])
           << "lane " << q << " vertex " << v;
@@ -98,9 +98,10 @@ TEST(Batch, SsspMatchesSingleQueryPerLane) {
   for (const Csr& g : batch_graphs()) {
     const auto sources = pick_sources(g, 7);
     simt::Device dev;
-    const BatchSsspResult batch = batch_sssp(dev, g, sources);
+    Engine eng(dev, g);
+    const BatchSsspResult batch = eng.batch_sssp(sources);
     for (std::uint32_t q = 0; q < batch.num_lanes; ++q) {
-      const SsspResult single = gunrock_sssp(dev, g, sources[q]);
+      const SsspResult single = eng.sssp(sources[q]);
       for (VertexId v = 0; v < g.num_vertices(); ++v)
         ASSERT_EQ(batch.dist_at(v, q), single.dist[v])
             << "lane " << q << " vertex " << v;
@@ -111,12 +112,13 @@ TEST(Batch, SsspMatchesSingleQueryPerLane) {
 TEST(Batch, ReachabilityMatchesBfs) {
   const Csr g = testing::undirected(rmat(10, 16, 5));
   const auto sources = pick_sources(g, 5);
-  BatchOptions bopts;
+  QueryOptions bopts;
   bopts.direction = Direction::kOptimal;  // undirected: pull legal
   simt::Device dev;
+  Engine eng(dev, g);
   const BatchReachabilityResult reach =
-      batch_reachability(dev, g, sources, bopts);
-  const BatchBfsResult batch = batch_bfs(dev, g, sources, bopts);
+      eng.batch_reachability(sources, bopts);
+  const BatchBfsResult batch = eng.batch_bfs(sources, bopts);
   for (std::uint32_t q = 0; q < reach.num_lanes; ++q)
     for (VertexId v = 0; v < g.num_vertices(); ++v)
       EXPECT_EQ(reach.reachable(v, q), batch.depth_at(v, q) != kInfinity)
@@ -127,9 +129,10 @@ TEST(Batch, BcForwardMatchesSingleQueryPerLane) {
   const Csr g = testing::undirected(rmat(9, 12, 7));
   const auto sources = pick_sources(g, 5);
   simt::Device dev;
-  const BatchBcForwardResult fwd = batch_bc_forward(dev, g, sources);
+  Engine eng(dev, g);
+  const BatchBcForwardResult fwd = eng.batch_bc_forward(sources);
   for (std::uint32_t q = 0; q < fwd.num_lanes; ++q) {
-    const BcResult single = gunrock_bc(dev, g, sources[q]);
+    const BcResult single = eng.bc(sources[q]);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       ASSERT_EQ(fwd.depth_at(v, q), single.depth[v])
           << "lane " << q << " vertex " << v;
@@ -144,10 +147,11 @@ TEST(Batch, BcBatchedMatchesPerSourceSum) {
   const Csr g = testing::undirected(rmat(9, 12, 7));
   const auto sources = pick_sources(g, 5);
   simt::Device dev;
-  const std::vector<double> batched = gunrock_bc_batched(dev, g, sources);
+  Engine eng(dev, g);
+  const std::vector<double> batched = eng.bc_batched(sources);
   std::vector<double> ref(g.num_vertices(), 0.0);
   for (const VertexId s : sources) {
-    const BcResult r = gunrock_bc(dev, g, s);
+    const BcResult r = eng.bc(s);
     for (VertexId v = 0; v < g.num_vertices(); ++v) ref[v] += r.bc_values[v];
   }
   // Backward deltas are genuine doubles; allow FP association slack.
@@ -161,9 +165,10 @@ TEST(Batch, SsspLaneStatsSurfaceThroughResult) {
   const Csr g = testing::undirected(rmat(10, 16, 5));
   const auto sources = pick_sources(g, 6);
   simt::Device dev;
-  BatchOptions on;
+  Engine eng(dev, g);
+  QueryOptions on;
   on.delta = 8;  // small graph: force the schedule
-  const BatchSsspResult with_pq = batch_sssp(dev, g, sources, on);
+  const BatchSsspResult with_pq = eng.batch_sssp(sources, on);
   EXPECT_EQ(with_pq.delta, 8u);
   ASSERT_EQ(with_pq.lane_stats.size(), sources.size());
   std::uint64_t near = 0, far = 0;
@@ -174,9 +179,9 @@ TEST(Batch, SsspLaneStatsSurfaceThroughResult) {
   EXPECT_GT(near, 0u);
   EXPECT_GT(far, 0u);  // delta 8 on 64-weight edges must defer something
 
-  BatchOptions off;
+  QueryOptions off;
   off.use_priority_queue = false;
-  const BatchSsspResult plain = batch_sssp(dev, g, sources, off);
+  const BatchSsspResult plain = eng.batch_sssp(sources, off);
   EXPECT_EQ(plain.delta, 0u);
   EXPECT_TRUE(plain.lane_stats.empty());
   EXPECT_EQ(plain.dist, with_pq.dist);  // scheduling, not semantics
@@ -212,28 +217,28 @@ TEST(Batch, SsspStaleFarMinimumStillDrainsThePile) {
   ASSERT_EQ(oracle[43 + 40], 36u);
   simt::Device dev;
   const VertexId sources[] = {0};
-  BatchOptions bopts;
+  QueryOptions bopts;
   bopts.delta = 8;
-  const BatchSsspResult run = batch_sssp(dev, g, sources, bopts);
+  const BatchSsspResult run = Engine(dev, g).batch_sssp(sources, bopts);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     ASSERT_EQ(run.dist_at(v, 0), oracle[v]) << "vertex " << v;
 }
 
 TEST(Batch, EnactorReuseMatchesFresh) {
   // Pooled lane masks and workspaces must be invisible to results: a second
-  // enactment on a reused enactor (different batch size, different
-  // primitive) equals a fresh enactor's.
+  // enactment on a reused engine (different batch size, different
+  // primitive) equals a fresh engine's.
   const Csr g = testing::undirected(rmat(10, 16, 5));
-  BatchOptions bopts;
+  QueryOptions bopts;
   bopts.direction = Direction::kOptimal;
   simt::Device dev;
-  BatchEnactor reused(dev);
+  Engine reused(dev, g);
   const auto warm = pick_sources(g, 70);  // sizes pools for 2 words/vertex
-  (void)reused.bfs(g, warm, bopts);
-  (void)reused.sssp(g, pick_sources(g, 3));
+  (void)reused.batch_bfs(warm, bopts);
+  (void)reused.batch_sssp(pick_sources(g, 3));
   const auto sources = pick_sources(g, 6);
-  const BatchBfsResult again = reused.bfs(g, sources, bopts);
-  const BatchBfsResult fresh = batch_bfs(dev, g, sources, bopts);
+  const BatchBfsResult again = reused.batch_bfs(sources, bopts);
+  const BatchBfsResult fresh = Engine(dev, g).batch_bfs(sources, bopts);
   EXPECT_EQ(again.depth, fresh.depth);
 }
 
@@ -241,10 +246,11 @@ TEST(Batch, SingleLaneDegenerateBatch) {
   const Csr g = testing::undirected(rmat(9, 12, 7));
   const VertexId src = 3;
   simt::Device dev;
-  const BatchBfsResult batch = batch_bfs(dev, g, {&src, 1});
-  BfsOptions opts;
+  Engine eng(dev, g);
+  const BatchBfsResult batch = eng.batch_bfs({&src, 1});
+  QueryOptions opts;
   opts.record_predecessors = false;
-  const BfsResult single = gunrock_bfs(dev, g, src, opts);
+  const BfsResult single = eng.bfs(src, opts);
   EXPECT_EQ(batch.depth, single.depth);  // B=1: layouts coincide
 }
 
@@ -252,20 +258,20 @@ TEST(Batch, ContractViolationsThrow) {
   const Csr g = testing::undirected(rmat(8, 8, 5));
   simt::Device dev;
   const VertexId oob = g.num_vertices();
-  EXPECT_THROW((void)batch_bfs(dev, g, {&oob, 1}), CheckError);
-  EXPECT_THROW((void)batch_bfs(dev, g, {}), CheckError);
+  EXPECT_THROW((void)Engine(dev, g).batch_bfs({&oob, 1}), CheckError);
+  EXPECT_THROW((void)Engine(dev, g).batch_bfs({}), CheckError);
   // Weightless graph (build_csr always attaches weights; construct raw):
   // batched SSSP requires weights.
   const Csr unweighted(3, {0, 1, 2, 2}, {1, 2});
   const VertexId src = 0;
-  EXPECT_THROW((void)batch_sssp(dev, unweighted, {&src, 1}), CheckError);
+  EXPECT_THROW((void)Engine(dev, unweighted).batch_sssp({&src, 1}), CheckError);
 }
 
 TEST(Batch, SummaryAccountsIterationsAndEdges) {
   const Csr g = testing::undirected(rmat(10, 16, 5));
   const auto sources = pick_sources(g, 4);
   simt::Device dev;
-  const BatchBfsResult batch = batch_bfs(dev, g, sources);
+  const BatchBfsResult batch = Engine(dev, g).batch_bfs(sources);
   // The union traversal runs as deep as the deepest lane.
   std::uint32_t deepest = 0;
   for (std::uint32_t q = 0; q < batch.num_lanes; ++q)

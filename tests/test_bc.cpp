@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "api/engine.hpp"
 #include "baselines/serial/serial.hpp"
 #include "graph/datasets.hpp"
-#include "primitives/bc.hpp"
 #include "test_common.hpp"
 
 namespace grx {
@@ -15,7 +15,7 @@ TEST_P(BcDatasetTest, MatchesBrandesOracle) {
   const VertexId source = 1;
   const auto oracle = serial::brandes_bc(g, source);
   simt::Device dev;
-  const BcResult r = gunrock_bc(dev, g, source);
+  const BcResult r = Engine(dev, g).bc(source);
   ASSERT_EQ(r.bc_values.size(), oracle.size());
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     ASSERT_NEAR(r.bc_values[v], oracle[v],
@@ -38,7 +38,7 @@ TEST(Bc, PathGraphClosedForm) {
   // vertices beyond it: bc[v] = (n-1-v) for v in 1..n-2.
   const Csr g = testing::undirected(path_graph(5));
   simt::Device dev;
-  const BcResult r = gunrock_bc(dev, g, 0);
+  const BcResult r = Engine(dev, g).bc(0);
   EXPECT_DOUBLE_EQ(r.bc_values[1], 3.0);
   EXPECT_DOUBLE_EQ(r.bc_values[2], 2.0);
   EXPECT_DOUBLE_EQ(r.bc_values[3], 1.0);
@@ -49,7 +49,7 @@ TEST(Bc, StarCenterDominates) {
   const Csr g = testing::undirected(star_graph(16));
   simt::Device dev;
   // From a leaf, the hub lies on every shortest path to other leaves.
-  const BcResult r = gunrock_bc(dev, g, 1);
+  const BcResult r = Engine(dev, g).bc(1);
   EXPECT_DOUBLE_EQ(r.bc_values[0], 14.0);
   for (VertexId v = 1; v < 16; ++v) EXPECT_DOUBLE_EQ(r.bc_values[v], 0.0);
 }
@@ -58,7 +58,7 @@ TEST(Bc, BridgeEndpointsCarryAllCrossTraffic) {
   const std::uint32_t k = 6;
   const Csr g = testing::undirected(two_cliques_bridge(k));
   simt::Device dev;
-  const BcResult r = gunrock_bc(dev, g, 0);
+  const BcResult r = Engine(dev, g).bc(0);
   const auto oracle = serial::brandes_bc(g, 0);
   // Bridge endpoints (k-1 and k) must dominate every interior vertex.
   for (VertexId v = 0; v < 2 * k; ++v) {
@@ -72,7 +72,7 @@ TEST(Bc, SigmaCountsShortestPaths) {
   // Cycle of 4: two equal-length paths from 0 to the opposite vertex 2.
   const Csr g = testing::undirected(cycle_graph(4));
   simt::Device dev;
-  const BcResult r = gunrock_bc(dev, g, 0);
+  const BcResult r = Engine(dev, g).bc(0);
   EXPECT_DOUBLE_EQ(r.sigma[2], 2.0);
   EXPECT_DOUBLE_EQ(r.sigma[1], 1.0);
   EXPECT_DOUBLE_EQ(r.sigma[3], 1.0);
@@ -84,9 +84,9 @@ TEST(Bc, StrategySweepAgrees) {
   simt::Device dev;
   for (auto s : {AdvanceStrategy::kThreadFine, AdvanceStrategy::kTwc,
                  AdvanceStrategy::kLoadBalanced}) {
-    BcOptions opts;
+    QueryOptions opts;
     opts.strategy = s;
-    const BcResult r = gunrock_bc(dev, g, 5, opts);
+    const BcResult r = Engine(dev, g).bc(5, opts);
     EXPECT_TRUE(testing::near_vectors(r.bc_values, oracle, 1e-6))
         << to_string(s);
   }
@@ -95,7 +95,7 @@ TEST(Bc, StrategySweepAgrees) {
 TEST(Bc, SampledAccumulatesOverSources) {
   const Csr g = testing::undirected(two_cliques_bridge(5));
   simt::Device dev;
-  const auto acc = gunrock_bc_sampled(dev, g, 4, 99);
+  const auto acc = Engine(dev, g).bc_sampled(4, 99);
   // Bridge endpoints still dominate in the accumulated score.
   double interior_max = 0.0;
   for (VertexId v = 1; v < 4; ++v)
@@ -109,7 +109,7 @@ TEST(Bc, DisconnectedVerticesUntouched) {
   el.edges = {{0, 1, 1}, {1, 2, 1}};  // 3, 4 isolated
   const Csr g = testing::undirected(el);
   simt::Device dev;
-  const BcResult r = gunrock_bc(dev, g, 0);
+  const BcResult r = Engine(dev, g).bc(0);
   EXPECT_DOUBLE_EQ(r.bc_values[3], 0.0);
   EXPECT_DOUBLE_EQ(r.bc_values[4], 0.0);
   EXPECT_EQ(r.depth[3], kInfinity);

@@ -2,9 +2,9 @@
 
 #include <tuple>
 
+#include "api/engine.hpp"
 #include "baselines/serial/serial.hpp"
 #include "graph/datasets.hpp"
-#include "primitives/bfs.hpp"
 #include "test_common.hpp"
 
 namespace grx {
@@ -23,11 +23,11 @@ TEST_P(BfsSweep, MatchesSerialOracle) {
   const auto oracle = serial::bfs(g, source);
 
   simt::Device dev;
-  BfsOptions opts;
+  QueryOptions opts;
   opts.strategy = strategy;
   opts.direction = direction;
   opts.idempotent = idempotent;
-  const BfsResult r = gunrock_bfs(dev, g, source, opts);
+  const BfsResult r = Engine(dev, g).bfs(source, opts);
   ASSERT_EQ(r.depth.size(), oracle.size());
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     ASSERT_EQ(r.depth[v], oracle[v]) << "vertex " << v;
@@ -56,7 +56,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Bfs, PathGraphDepths) {
   const Csr g = testing::undirected(path_graph(10));
   simt::Device dev;
-  const BfsResult r = gunrock_bfs(dev, g, 0);
+  const BfsResult r = Engine(dev, g).bfs(0);
   for (VertexId v = 0; v < 10; ++v) EXPECT_EQ(r.depth[v], v);
 }
 
@@ -66,7 +66,7 @@ TEST(Bfs, DisconnectedRemainsInfinity) {
   el.edges = {{0, 1, 1}};  // 2, 3 isolated
   const Csr g = testing::undirected(el);
   simt::Device dev;
-  const BfsResult r = gunrock_bfs(dev, g, 0);
+  const BfsResult r = Engine(dev, g).bfs(0);
   EXPECT_EQ(r.depth[1], 1u);
   EXPECT_EQ(r.depth[2], kInfinity);
   EXPECT_EQ(r.depth[3], kInfinity);
@@ -75,9 +75,9 @@ TEST(Bfs, DisconnectedRemainsInfinity) {
 TEST(Bfs, PredecessorsFormValidTree) {
   const Csr g = testing::random_graph(512, 2048, 77);
   simt::Device dev;
-  BfsOptions opts;
+  QueryOptions opts;
   opts.idempotent = false;  // exact parents
-  const BfsResult r = gunrock_bfs(dev, g, 3, opts);
+  const BfsResult r = Engine(dev, g).bfs(3, opts);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (v == 3 || r.depth[v] == kInfinity) continue;
     const VertexId p = r.pred[v];
@@ -94,7 +94,7 @@ TEST(Bfs, SingleVertexGraph) {
   el.num_vertices = 1;
   const Csr g = build_csr(el);
   simt::Device dev;
-  const BfsResult r = gunrock_bfs(dev, g, 0);
+  const BfsResult r = Engine(dev, g).bfs(0);
   EXPECT_EQ(r.depth[0], 0u);
   EXPECT_EQ(r.summary.iterations, 1u);
 }
@@ -102,16 +102,16 @@ TEST(Bfs, SingleVertexGraph) {
 TEST(Bfs, SourceOutOfRangeThrows) {
   const Csr g = testing::undirected(path_graph(4));
   simt::Device dev;
-  EXPECT_THROW(gunrock_bfs(dev, g, 99), CheckError);
+  EXPECT_THROW(Engine(dev, g).bfs(99), CheckError);
 }
 
 TEST(Bfs, DirectionOptimalActuallyPulls) {
   // Scale-free graph: the frontier balloons, so kOptimal must switch.
   const Csr g = build_dataset("kron-s", /*shrink=*/4);
   simt::Device dev;
-  BfsOptions opts;
+  QueryOptions opts;
   opts.direction = Direction::kOptimal;
-  const BfsResult r = gunrock_bfs(dev, g, 0, opts);
+  const BfsResult r = Engine(dev, g).bfs(0, opts);
   bool pulled = false;
   for (const auto& it : r.summary.per_iteration) pulled |= it.used_pull;
   EXPECT_TRUE(pulled);
@@ -120,11 +120,12 @@ TEST(Bfs, DirectionOptimalActuallyPulls) {
 TEST(Bfs, IdempotentVisitsAtLeastAsManyEdges) {
   const Csr g = build_dataset("soc-orkut-s", /*shrink=*/5);
   simt::Device dev;
-  BfsOptions idem, atomic;
+  Engine eng(dev, g);
+  QueryOptions idem, atomic;
   idem.idempotent = true;
   atomic.idempotent = false;
-  const auto ri = gunrock_bfs(dev, g, 0, idem);
-  const auto ra = gunrock_bfs(dev, g, 0, atomic);
+  const auto ri = eng.bfs(0, idem);
+  const auto ra = eng.bfs(0, atomic);
   // Duplicates make the idempotent variant traverse >= the exact one...
   EXPECT_GE(ri.summary.edges_processed, ra.summary.edges_processed);
   // ...but skipping atomics should still make it cheaper in device time on
@@ -135,7 +136,7 @@ TEST(Bfs, IdempotentVisitsAtLeastAsManyEdges) {
 TEST(Bfs, SummaryAccounting) {
   const Csr g = testing::undirected(complete_graph(32));
   simt::Device dev;
-  const BfsResult r = gunrock_bfs(dev, g, 0);
+  const BfsResult r = Engine(dev, g).bfs(0);
   EXPECT_EQ(r.summary.iterations, 2u);  // one expansion + empty check
   EXPECT_GT(r.summary.device_time_ms, 0.0);
   EXPECT_GT(r.summary.counters.kernel_launches, 0u);

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "api/engine.hpp"
 #include "baselines/serial/serial.hpp"
 #include "graph/datasets.hpp"
-#include "primitives/cc.hpp"
 #include "test_common.hpp"
 
 namespace grx {
@@ -14,7 +14,7 @@ TEST_P(CcDatasetTest, MatchesUnionFind) {
   const Csr g = build_dataset(GetParam(), /*shrink=*/5);
   const auto oracle = serial::connected_components(g);
   simt::Device dev;
-  const CcResult r = gunrock_cc(dev, g);
+  const CcResult r = Engine(dev, g).cc();
   EXPECT_TRUE(testing::same_partition(r.component, oracle));
   EXPECT_EQ(r.num_components, serial::count_components(oracle));
 }
@@ -35,7 +35,7 @@ TEST(Cc, LabelsAreCanonicalMinIds) {
   el.edges = {{4, 5, 1}, {1, 2, 1}};
   const Csr g = testing::undirected(el);
   simt::Device dev;
-  const CcResult r = gunrock_cc(dev, g);
+  const CcResult r = Engine(dev, g).cc();
   EXPECT_EQ(r.component[0], 0u);
   EXPECT_EQ(r.component[1], 1u);
   EXPECT_EQ(r.component[2], 1u);
@@ -48,7 +48,7 @@ TEST(Cc, LabelsAreCanonicalMinIds) {
 TEST(Cc, SingleComponent) {
   const Csr g = testing::undirected(cycle_graph(64));
   simt::Device dev;
-  const CcResult r = gunrock_cc(dev, g);
+  const CcResult r = Engine(dev, g).cc();
   EXPECT_EQ(r.num_components, 1u);
   for (VertexId v = 0; v < 64; ++v) EXPECT_EQ(r.component[v], 0u);
 }
@@ -58,7 +58,7 @@ TEST(Cc, AllIsolated) {
   el.num_vertices = 16;
   const Csr g = build_csr(el);
   simt::Device dev;
-  const CcResult r = gunrock_cc(dev, g);
+  const CcResult r = Engine(dev, g).cc();
   EXPECT_EQ(r.num_components, 16u);
 }
 
@@ -74,7 +74,7 @@ TEST(Cc, ManySmallComponents) {
   }
   const Csr g = testing::undirected(el);
   simt::Device dev;
-  const CcResult r = gunrock_cc(dev, g);
+  const CcResult r = Engine(dev, g).cc();
   EXPECT_EQ(r.num_components, 100u);
   for (std::uint32_t t = 0; t < 100; ++t) {
     EXPECT_EQ(r.component[3 * t], 3 * t);
@@ -87,7 +87,7 @@ TEST(Cc, LongChainNeedsManyJumps) {
   // A path exercises deep pointer-jumping trees.
   const Csr g = testing::undirected(path_graph(2000));
   simt::Device dev;
-  const CcResult r = gunrock_cc(dev, g);
+  const CcResult r = Engine(dev, g).cc();
   EXPECT_EQ(r.num_components, 1u);
   for (VertexId v = 0; v < 2000; ++v) ASSERT_EQ(r.component[v], 0u);
 }
@@ -95,7 +95,7 @@ TEST(Cc, LongChainNeedsManyJumps) {
 TEST(Cc, EveryEdgeEndpointsShareLabel) {
   const Csr g = testing::undirected(erdos_renyi(1024, 1500, 9));
   simt::Device dev;
-  const CcResult r = gunrock_cc(dev, g);
+  const CcResult r = Engine(dev, g).cc();
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     for (VertexId u : g.neighbors(v))
       ASSERT_EQ(r.component[v], r.component[u]);

@@ -237,8 +237,9 @@ TEST(PriorityQueue, SplitsByPredicate) {
   std::vector<std::uint32_t> items{1, 5, 2, 8, 3};
   std::vector<std::uint32_t> near, far;
   PriorityQueueStats stats;
+  SplitWorkspace ws;
   split_near_far(dev, items, near, far,
-                 [](std::uint32_t v) { return v < 4; }, &stats);
+                 [](std::uint32_t v) { return v < 4; }, ws, &stats);
   std::sort(near.begin(), near.end());
   std::sort(far.begin(), far.end());
   EXPECT_EQ(near, (std::vector<std::uint32_t>{1, 2, 3}));
@@ -250,8 +251,9 @@ TEST(PriorityQueue, FarAppends) {
   simt::Device dev;
   std::vector<std::uint32_t> far{99};
   std::vector<std::uint32_t> near;
+  SplitWorkspace ws;
   split_near_far(dev, std::vector<std::uint32_t>{1, 9}, near, far,
-                 [](std::uint32_t v) { return v < 4; });
+                 [](std::uint32_t v) { return v < 4; }, ws);
   EXPECT_EQ(far.size(), 2u);  // 99 kept, 9 appended
 }
 

@@ -2,15 +2,12 @@
 // engine edge cases, and operator interactions not exercised elsewhere.
 #include <gtest/gtest.h>
 
+#include "api/engine.hpp"
 #include "baselines/gas/gas.hpp"
 #include "baselines/medusa/medusa.hpp"
 #include "baselines/serial/serial.hpp"
 #include "core/sample.hpp"
 #include "graph/datasets.hpp"
-#include "primitives/bfs.hpp"
-#include "primitives/pagerank.hpp"
-#include "primitives/salsa.hpp"
-#include "primitives/sssp.hpp"
 #include "test_common.hpp"
 
 namespace grx {
@@ -24,7 +21,7 @@ TEST(Salsa, BipartiteTopAuthority) {
   const Csr g = build_csr(el);
   const Csr gT = transpose(g);
   simt::Device dev;
-  const SalsaResult r = gunrock_salsa(dev, g, gT);
+  const SalsaResult r = Engine(dev, g, gT).salsa();
   EXPECT_GT(r.authority[3], r.authority[4]);
   EXPECT_NEAR(r.authority[0], 0.0, 1e-12);  // users have no in-edges
   EXPECT_NEAR(r.hub[3], 0.0, 1e-12);        // items have no out-edges
@@ -33,7 +30,7 @@ TEST(Salsa, BipartiteTopAuthority) {
 TEST(Salsa, ScoresAreL1Distributions) {
   const Csr g = build_dataset("indochina-s", /*shrink=*/6);
   simt::Device dev;
-  const SalsaResult r = gunrock_salsa(dev, g, g);
+  const SalsaResult r = Engine(dev, g, g).salsa();
   double h = 0.0, a = 0.0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_GE(r.hub[v], 0.0);
@@ -55,7 +52,7 @@ TEST(Salsa, RegularBipartiteIsUniform) {
   const Csr g = build_csr(el);
   const Csr gT = transpose(g);
   simt::Device dev;
-  const SalsaResult r = gunrock_salsa(dev, g, gT);
+  const SalsaResult r = Engine(dev, g, gT).salsa();
   for (VertexId u = 0; u < 3; ++u) EXPECT_NEAR(r.hub[u], 1.0 / 3, 1e-9);
   for (VertexId v = 3; v < 6; ++v)
     EXPECT_NEAR(r.authority[v], 1.0 / 3, 1e-9);
@@ -82,7 +79,7 @@ TEST(EnactSummary, MtepsUsesDeviceTime) {
 TEST(Bfs, PerIterationFrontierSizesAreConsistent) {
   const Csr g = build_dataset("rgg-s", /*shrink=*/6);
   simt::Device dev;
-  const BfsResult r = gunrock_bfs(dev, g, 0);
+  const BfsResult r = Engine(dev, g).bfs(0);
   // output of iteration i == input of iteration i+1.
   for (std::size_t i = 0; i + 1 < r.summary.per_iteration.size(); ++i)
     EXPECT_EQ(r.summary.per_iteration[i].output_size,
@@ -94,7 +91,7 @@ TEST(Bfs, PerIterationFrontierSizesAreConsistent) {
 TEST(Bfs, DeviceTimeAccumulatesAcrossIterations) {
   const Csr g = build_dataset("roadnet-s", /*shrink=*/5);
   simt::Device dev;
-  const BfsResult r = gunrock_bfs(dev, g, 0);
+  const BfsResult r = Engine(dev, g).bfs(0);
   EXPECT_GT(r.summary.iterations, 10u);
   // At least one kernel launch per iteration must be accounted.
   EXPECT_GE(r.summary.counters.kernel_launches, r.summary.iterations);
@@ -143,11 +140,12 @@ TEST(MedusaEngine, RejectsAsymmetricGraphs) {
 TEST(Sssp, AdaptiveDeltaPolicySkipsQueueOnMeshes) {
   const Csr g = build_dataset("roadnet-s", /*shrink=*/4);
   simt::Device dev;
-  SsspOptions adaptive;  // auto delta
-  const auto a = gunrock_sssp(dev, g, 0, adaptive);
-  SsspOptions plain;
+  Engine eng(dev, g);
+  QueryOptions adaptive;  // auto delta
+  const auto a = eng.sssp(0, adaptive);
+  QueryOptions plain;
   plain.use_priority_queue = false;
-  const auto b = gunrock_sssp(dev, g, 0, plain);
+  const auto b = eng.sssp(0, plain);
   // Policy disables splitting on low-degree meshes: identical work.
   EXPECT_EQ(a.summary.edges_processed, b.summary.edges_processed);
   EXPECT_EQ(a.dist, b.dist);
@@ -156,10 +154,10 @@ TEST(Sssp, AdaptiveDeltaPolicySkipsQueueOnMeshes) {
 TEST(Pagerank, SummaryEdgesMatchIterationsTimesEdges) {
   const Csr g = build_dataset("hollywood-s", /*shrink=*/6);
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 0.0;
   opts.max_iterations = 5;
-  const auto r = gunrock_pagerank(dev, g, opts);
+  const auto r = Engine(dev, g).pagerank(opts);
   EXPECT_EQ(r.summary.iterations, 5u);
   EXPECT_EQ(r.summary.edges_processed, 5 * g.num_edges());
 }
@@ -169,7 +167,7 @@ TEST(Sample, ComposesWithBfsForSeededSolution) {
   const Csr g = build_dataset("rgg-s", /*shrink=*/6);
   simt::Device dev;
   // Full BFS from vertex 0 for reference.
-  const auto full = gunrock_bfs(dev, g, 0);
+  const auto full = Engine(dev, g).bfs(0);
   // "Seeded" variant: sample the level-2 frontier and keep traversing —
   // depths found can only be >= the exact ones.
   Frontier f;

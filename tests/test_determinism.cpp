@@ -10,15 +10,12 @@
 #include <cstring>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "core/advance.hpp"
 #include "core/filter.hpp"
 #include "core/neighbor_reduce.hpp"
 #include "core/priority_queue.hpp"
 #include "graph/generators.hpp"
-#include "primitives/batch.hpp"
-#include "primitives/bfs.hpp"
-#include "primitives/pagerank.hpp"
-#include "primitives/sssp.hpp"
 #include "test_common.hpp"
 
 namespace grx {
@@ -257,7 +254,8 @@ TEST(Determinism, SplitNearFarPreservesInputOrder) {
     omp_set_num_threads(threads);
     simt::Device dev;
     std::vector<std::uint32_t> near, far{777u};
-    split_near_far(dev, items, near, far, is_near);
+    SplitWorkspace ws;
+    split_near_far(dev, items, near, far, is_near, ws);
     EXPECT_EQ(near, ref_near) << threads << " threads";
     EXPECT_EQ(far, ref_far) << threads << " threads";
   }
@@ -276,25 +274,25 @@ TEST(Determinism, BatchBfsIdenticalAcrossThreadCounts) {
   ThreadRestorer restore;
   // Direction-optimal (legal: test_graphs() are symmetrized), so both the
   // push advance and the batch pull step are exercised.
-  BatchOptions bopts;
+  QueryOptions bopts;
   bopts.direction = Direction::kOptimal;
   for (const Csr& g : test_graphs()) {
     const auto sources = scattered_sources(g, 67);
     omp_set_num_threads(1);
     simt::Device dev;
-    const BatchBfsResult ref = batch_bfs(dev, g, sources, bopts);
+    const BatchBfsResult ref = Engine(dev, g).batch_bfs(sources, bopts);
     // Per-lane cross-check against independent single-query runs.
-    BfsOptions opts;
+    QueryOptions opts;
     opts.record_predecessors = false;
     for (std::uint32_t q = 0; q < ref.num_lanes; ++q) {
-      const BfsResult single = gunrock_bfs(dev, g, sources[q], opts);
+      const BfsResult single = Engine(dev, g).bfs(sources[q], opts);
       for (VertexId v = 0; v < g.num_vertices(); ++v)
         ASSERT_EQ(ref.depth_at(v, q), single.depth[v])
             << "lane " << q << " vertex " << v;
     }
     for (int threads : {4, 16}) {
       omp_set_num_threads(threads);
-      const BatchBfsResult run = batch_bfs(dev, g, sources, bopts);
+      const BatchBfsResult run = Engine(dev, g).batch_bfs(sources, bopts);
       EXPECT_EQ(run.depth, ref.depth) << threads << " threads";
       EXPECT_EQ(run.summary.iterations, ref.summary.iterations)
           << threads << " threads";
@@ -308,16 +306,16 @@ TEST(Determinism, BatchSsspIdenticalAcrossThreadCounts) {
     const auto sources = scattered_sources(g, 67);
     omp_set_num_threads(1);
     simt::Device dev;
-    const BatchSsspResult ref = batch_sssp(dev, g, sources);
+    const BatchSsspResult ref = Engine(dev, g).batch_sssp(sources);
     for (std::uint32_t q = 0; q < ref.num_lanes; ++q) {
-      const SsspResult single = gunrock_sssp(dev, g, sources[q]);
+      const SsspResult single = Engine(dev, g).sssp(sources[q]);
       for (VertexId v = 0; v < g.num_vertices(); ++v)
         ASSERT_EQ(ref.dist_at(v, q), single.dist[v])
             << "lane " << q << " vertex " << v;
     }
     for (int threads : {4, 16}) {
       omp_set_num_threads(threads);
-      const BatchSsspResult run = batch_sssp(dev, g, sources);
+      const BatchSsspResult run = Engine(dev, g).batch_sssp(sources);
       EXPECT_EQ(run.dist, ref.dist) << threads << " threads";
     }
   }
@@ -331,10 +329,10 @@ TEST(Determinism, BatchBcForwardIdenticalAcrossThreadCounts) {
   const auto sources = scattered_sources(g, 67);
   omp_set_num_threads(1);
   simt::Device dev;
-  const BatchBcForwardResult ref = batch_bc_forward(dev, g, sources);
+  const BatchBcForwardResult ref = Engine(dev, g).batch_bc_forward(sources);
   for (int threads : {4, 16}) {
     omp_set_num_threads(threads);
-    const BatchBcForwardResult run = batch_bc_forward(dev, g, sources);
+    const BatchBcForwardResult run = Engine(dev, g).batch_bc_forward(sources);
     EXPECT_EQ(run.depth, ref.depth) << threads << " threads";
     EXPECT_EQ(run.sigma, ref.sigma) << threads << " threads";
   }
@@ -352,15 +350,15 @@ TEST(Determinism, BatchBcForwardIdenticalAcrossThreadCounts) {
 TEST(Determinism, SsspNearFarIdenticalAcrossThreadCounts) {
   ThreadRestorer restore;
   for (const Csr& g : test_graphs()) {
-    SsspOptions opts;
+    QueryOptions opts;
     opts.delta = 16;  // force a fine schedule (many splits)
     omp_set_num_threads(1);
     simt::Device dev;
-    const SsspResult ref = gunrock_sssp(dev, g, 3, opts);
+    const SsspResult ref = Engine(dev, g).sssp(3, opts);
     ASSERT_GT(ref.pq_stats.splits, 0u);
     for (int threads : {2, 8}) {
       omp_set_num_threads(threads);
-      const SsspResult run = gunrock_sssp(dev, g, 3, opts);
+      const SsspResult run = Engine(dev, g).sssp(3, opts);
       EXPECT_EQ(run.dist, ref.dist) << threads << " threads";
       EXPECT_EQ(run.pq_stats, ref.pq_stats) << threads << " threads";
       EXPECT_EQ(run.summary.iterations, ref.summary.iterations)
@@ -372,15 +370,15 @@ TEST(Determinism, SsspNearFarIdenticalAcrossThreadCounts) {
 TEST(Determinism, SsspNearFarIdenticalAcrossStrategies) {
   for (const Csr& g : test_graphs()) {
     simt::Device dev;
-    SsspOptions opts;
+    QueryOptions opts;
     opts.delta = 16;
     opts.strategy = AdvanceStrategy::kThreadFine;
-    const SsspResult ref = gunrock_sssp(dev, g, 3, opts);
+    const SsspResult ref = Engine(dev, g).sssp(3, opts);
     for (AdvanceStrategy s :
          {AdvanceStrategy::kTwc, AdvanceStrategy::kLoadBalanced,
           AdvanceStrategy::kAuto}) {
       opts.strategy = s;
-      const SsspResult run = gunrock_sssp(dev, g, 3, opts);
+      const SsspResult run = Engine(dev, g).sssp(3, opts);
       EXPECT_EQ(run.dist, ref.dist) << to_string(s);
       EXPECT_EQ(run.pq_stats, ref.pq_stats) << to_string(s);
     }
@@ -394,11 +392,11 @@ TEST(Determinism, BatchSsspNearFarIdenticalAcrossThreadCounts) {
   ThreadRestorer restore;
   for (const Csr& g : test_graphs()) {
     const auto sources = scattered_sources(g, 67);
-    BatchOptions bopts;
+    QueryOptions bopts;
     bopts.delta = 16;
     omp_set_num_threads(1);
     simt::Device dev;
-    const BatchSsspResult ref = batch_sssp(dev, g, sources, bopts);
+    const BatchSsspResult ref = Engine(dev, g).batch_sssp(sources, bopts);
     ASSERT_EQ(ref.lane_stats.size(), sources.size());
     std::uint64_t total_splits = 0;
     for (const PriorityQueueStats& s : ref.lane_stats)
@@ -406,14 +404,14 @@ TEST(Determinism, BatchSsspNearFarIdenticalAcrossThreadCounts) {
     ASSERT_GT(total_splits, 0u);
     // Per-lane ground truth: every lane equals its single-query run.
     for (std::uint32_t q = 0; q < ref.num_lanes; ++q) {
-      const SsspResult single = gunrock_sssp(dev, g, sources[q]);
+      const SsspResult single = Engine(dev, g).sssp(sources[q]);
       for (VertexId v = 0; v < g.num_vertices(); ++v)
         ASSERT_EQ(ref.dist_at(v, q), single.dist[v])
             << "lane " << q << " vertex " << v;
     }
     for (int threads : {2, 8}) {
       omp_set_num_threads(threads);
-      const BatchSsspResult run = batch_sssp(dev, g, sources, bopts);
+      const BatchSsspResult run = Engine(dev, g).batch_sssp(sources, bopts);
       EXPECT_EQ(run.dist, ref.dist) << threads << " threads";
       EXPECT_EQ(run.lane_stats, ref.lane_stats) << threads << " threads";
       EXPECT_EQ(run.summary.iterations, ref.summary.iterations)
@@ -426,15 +424,15 @@ TEST(Determinism, BatchSsspNearFarIdenticalAcrossStrategies) {
   const Csr g = testing::undirected(rmat(11, 16, 5));
   const auto sources = scattered_sources(g, 67);
   simt::Device dev;
-  BatchOptions bopts;
+  QueryOptions bopts;
   bopts.delta = 16;
   bopts.strategy = AdvanceStrategy::kThreadFine;
-  const BatchSsspResult ref = batch_sssp(dev, g, sources, bopts);
+  const BatchSsspResult ref = Engine(dev, g).batch_sssp(sources, bopts);
   for (AdvanceStrategy s :
        {AdvanceStrategy::kTwc, AdvanceStrategy::kLoadBalanced,
         AdvanceStrategy::kAuto}) {
     bopts.strategy = s;
-    const BatchSsspResult run = batch_sssp(dev, g, sources, bopts);
+    const BatchSsspResult run = Engine(dev, g).batch_sssp(sources, bopts);
     EXPECT_EQ(run.dist, ref.dist) << to_string(s);
     EXPECT_EQ(run.lane_stats, ref.lane_stats) << to_string(s);
     EXPECT_EQ(run.summary.iterations, ref.summary.iterations)
@@ -458,40 +456,42 @@ TEST(Determinism, BatchResultsIdenticalAcrossVecBackends) {
   for (const Csr& g : test_graphs()) {
     const auto sources = scattered_sources(g, 67);
     simt::Device dev;
-    BatchOptions sopts;
+    QueryOptions sopts;
     sopts.direction = Direction::kOptimal;  // exercise the batch pull step
     sopts.delta = 16;                       // and the claim-split/wake path
     sopts.backend.vec = simt::VecBackend::kScalar;
-    const BatchBfsResult bfs_ref = batch_bfs(dev, g, sources, sopts);
-    const BatchSsspResult sssp_ref = batch_sssp(dev, g, sources, sopts);
+    const BatchBfsResult bfs_ref = Engine(dev, g).batch_bfs(sources, sopts);
+    const BatchSsspResult sssp_ref =
+        Engine(dev, g).batch_sssp(sources, sopts);
     const BatchReachabilityResult reach_ref =
-        batch_reachability(dev, g, sources, sopts);
+        Engine(dev, g).batch_reachability(sources, sopts);
     const BatchBcForwardResult bc_ref =
-        batch_bc_forward(dev, g, sources, sopts);
+        Engine(dev, g).batch_bc_forward(sources, sopts);
     ASSERT_EQ(bfs_ref.backend, simt::VecBackend::kScalar);
     for (const simt::VecBackend req : kVecRequests) {
-      BatchOptions o = sopts;
+      QueryOptions o = sopts;
       o.backend.vec = req;
-      const BatchBfsResult bfs = batch_bfs(dev, g, sources, o);
+      const BatchBfsResult bfs = Engine(dev, g).batch_bfs(sources, o);
       EXPECT_EQ(bfs.backend, simt::resolve_backend(req)) << to_string(req);
       EXPECT_EQ(bfs.depth, bfs_ref.depth) << to_string(req);
       EXPECT_EQ(bfs.summary.iterations, bfs_ref.summary.iterations)
           << to_string(req);
       EXPECT_EQ(bfs.summary.edges_processed, bfs_ref.summary.edges_processed)
           << to_string(req);
-      const BatchSsspResult sssp = batch_sssp(dev, g, sources, o);
+      const BatchSsspResult sssp = Engine(dev, g).batch_sssp(sources, o);
       EXPECT_EQ(sssp.dist, sssp_ref.dist) << to_string(req);
       EXPECT_EQ(sssp.lane_stats, sssp_ref.lane_stats) << to_string(req);
       EXPECT_EQ(sssp.delta, sssp_ref.delta) << to_string(req);
       EXPECT_EQ(sssp.summary.iterations, sssp_ref.summary.iterations)
           << to_string(req);
       const BatchReachabilityResult reach =
-          batch_reachability(dev, g, sources, o);
+          Engine(dev, g).batch_reachability(sources, o);
       for (VertexId v = 0; v < g.num_vertices(); ++v)
         for (std::uint32_t w = 0; w < reach.visited.words_per_vertex(); ++w)
           ASSERT_EQ(reach.visited.row(v)[w], reach_ref.visited.row(v)[w])
               << to_string(req) << " vertex " << v << " word " << w;
-      const BatchBcForwardResult bc = batch_bc_forward(dev, g, sources, o);
+      const BatchBcForwardResult bc =
+          Engine(dev, g).batch_bc_forward(sources, o);
       EXPECT_EQ(bc.depth, bc_ref.depth) << to_string(req);
       EXPECT_EQ(bc.sigma, bc_ref.sigma) << to_string(req);
     }

@@ -38,7 +38,6 @@
 #include "core/epoch.hpp"
 #include "graph/dynamic.hpp"
 #include "graph/generators.hpp"
-#include "primitives/batch.hpp"
 #include "test_common.hpp"
 #include "util/rng.hpp"
 
@@ -404,9 +403,9 @@ TEST(EngineRebind, ServesTheNewGraphAfterRebind) {
 }
 
 TEST(EngineRebind, AutoDeltaRecomputedAfterRebind) {
-  // The Engine caches sssp_auto_delta per graph shape. After a rebind to a
-  // different-shape graph, a batched SSSP must run with the delta a fresh
-  // enactor would derive for the *new* graph — a stale cached value would
+  // The batched SSSP delta is derived from the bound graph's shape. After
+  // a rebind to a different-shape graph, a batched SSSP must run with the
+  // delta a fresh enactor derives for the *new* graph — a stale value would
   // silently change the near/far schedule across epochs.
   const Csr& small = grx::testing::power_law_serving_graph(9);   // below the
   // 4096-vertex batch gate: schedule off (delta 0)
@@ -419,13 +418,13 @@ TEST(EngineRebind, AutoDeltaRecomputedAfterRebind) {
   const std::uint32_t d_small = eng.batch_sssp(src_small).delta;
   {
     simt::Device fresh;
-    EXPECT_EQ(d_small, batch_sssp(fresh, small, src_small).delta);
+    EXPECT_EQ(d_small, BatchEnactor(fresh).sssp(small, src_small).delta);
   }
   eng.rebind(big);
   const std::uint32_t d_big = eng.batch_sssp(src_big).delta;
   {
     simt::Device fresh;
-    EXPECT_EQ(d_big, batch_sssp(fresh, big, src_big).delta);
+    EXPECT_EQ(d_big, BatchEnactor(fresh).sssp(big, src_big).delta);
   }
   // The shapes genuinely disagree, so serving the stale delta would show.
   EXPECT_NE(d_small, d_big);

@@ -1,10 +1,11 @@
 // The grx::Engine façade contract (docs/api.md):
 //
-//  1. Parity — every Engine query returns the same result as the legacy
-//     one-shot gunrock_* wrapper. Under one host thread every primitive is
-//     bit-deterministic (no cross-thread races at all), so parity is
-//     asserted byte-identical across the board, floating-point scores
-//     included.
+//  1. Parity — a warm Engine, whose pools have served every other query
+//     kind with other sources and options, returns the same result as a
+//     fresh Engine for every query kind. Under one host thread every
+//     primitive is bit-deterministic (no cross-thread races at all), so
+//     parity is asserted byte-identical across the board, floating-point
+//     scores and the device-clock summary included.
 //  2. Steady-state allocation freedom — a warm Engine serving a repeated
 //     query into a reused result object performs ZERO heap allocations:
 //     every Problem buffer, operator workspace, priority pile, lane
@@ -22,7 +23,6 @@
 
 #include "api/engine.hpp"
 #include "graph/generators.hpp"
-#include "primitives/batch.hpp"
 
 // This TU owns the binary's operator-new replacement: the zero
 // steady-state-allocation contract is asserted against real allocator
@@ -46,117 +46,171 @@ const Csr& serving_graph() {
 
 constexpr VertexId kSrc = 1;
 
-// --- 1. parity with the one-shot wrappers (single-thread, byte-exact) -------
+// --- 1. warm-versus-fresh parity (single-thread, byte-exact) ---------------
 
-TEST(EngineParity, TraversalQueriesMatchWrappers) {
+/// The summary fields every enact reports, device clock included: a
+/// query's charges must not depend on what its engine served before.
+void expect_same_summary(const EnactSummary& warm, const EnactSummary& fresh) {
+  EXPECT_EQ(warm.iterations, fresh.iterations);
+  EXPECT_EQ(warm.edges_processed, fresh.edges_processed);
+  EXPECT_EQ(warm.device_time_ms, fresh.device_time_ms);
+}
+
+/// Runs every query kind once on `eng` with sources and options unlike
+/// the measured ones, so each pool holds another query's state. Directed
+/// graphs skip the kinds that need a symmetric graph or weights.
+void dirty_every_pool(Engine& eng, bool symmetric) {
+  const Csr& g = eng.graph();
+  const VertexId other = (kSrc + 5) % g.num_vertices();
+  const std::vector<VertexId> lanes = testing::scattered_sources(g, 7);
+  QueryOptions q;
+  q.strategy = AdvanceStrategy::kLoadBalanced;
+  q.max_iterations = 3;
+  q.iterations = 4;
+  q.seed = 7;
+  (void)eng.bfs(other, q);
+  (void)eng.pagerank(q);
+  (void)eng.hits(q);
+  (void)eng.salsa(q);
+  (void)eng.batch_bfs(lanes, q);
+  (void)eng.batch_reachability(lanes, q);
+  if (!symmetric) return;
+  q.direction = Direction::kOptimal;
+  q.delta = 4;
+  (void)eng.bfs(other, q);
+  (void)eng.sssp(other, q);
+  (void)eng.bc(other, q);
+  (void)eng.cc(q);
+  (void)eng.coloring(q);
+  (void)eng.mis(q);
+  (void)eng.mst(q);
+  (void)eng.batch_bfs(lanes, q);
+  (void)eng.batch_sssp(lanes, q);
+  (void)eng.batch_bc_forward(lanes, q);
+  (void)eng.bc_batched(lanes, q);
+  (void)eng.bc_sampled(3, 5, q);
+}
+
+TEST(EngineParity, TraversalQueriesWarmMatchFresh) {
   ThreadRestorer tr;
   omp_set_num_threads(1);
   const Csr& g = serving_graph();
-  simt::Device edev, wdev;
-  Engine eng(edev, g);
+  simt::Device wdev, fdev;
+  Engine warm(wdev, g);
+  dirty_every_pool(warm, /*symmetric=*/true);
 
   QueryOptions q;
   q.direction = Direction::kOptimal;
-  const BfsResult eb = eng.bfs(kSrc, q);
-  BfsOptions bo;
-  bo.direction = Direction::kOptimal;
-  const BfsResult wb = gunrock_bfs(wdev, g, kSrc, bo);
-  EXPECT_EQ(eb.depth, wb.depth);
-  EXPECT_EQ(eb.pred, wb.pred);
-  EXPECT_EQ(eb.summary.iterations, wb.summary.iterations);
-  EXPECT_EQ(eb.summary.edges_processed, wb.summary.edges_processed);
+  const BfsResult wb = warm.bfs(kSrc, q);
+  const BfsResult fb = Engine(fdev, g).bfs(kSrc, q);
+  EXPECT_EQ(wb.depth, fb.depth);
+  EXPECT_EQ(wb.pred, fb.pred);
+  expect_same_summary(wb.summary, fb.summary);
 
-  const SsspResult es = eng.sssp(kSrc);
-  const SsspResult ws = gunrock_sssp(wdev, g, kSrc);
-  EXPECT_EQ(es.dist, ws.dist);
-  EXPECT_EQ(es.pred, ws.pred);
-  EXPECT_EQ(es.pq_stats, ws.pq_stats);
-  EXPECT_EQ(es.summary.iterations, ws.summary.iterations);
+  const SsspResult ws = warm.sssp(kSrc);
+  const SsspResult fs = Engine(fdev, g).sssp(kSrc);
+  EXPECT_EQ(ws.dist, fs.dist);
+  EXPECT_EQ(ws.pred, fs.pred);
+  EXPECT_EQ(ws.pq_stats, fs.pq_stats);
+  expect_same_summary(ws.summary, fs.summary);
 
-  const BcResult ec = eng.bc(kSrc);
-  const BcResult wc = gunrock_bc(wdev, g, kSrc);
-  EXPECT_EQ(ec.bc_values, wc.bc_values);
-  EXPECT_EQ(ec.sigma, wc.sigma);
-  EXPECT_EQ(ec.depth, wc.depth);
+  const BcResult wc = warm.bc(kSrc);
+  const BcResult fc = Engine(fdev, g).bc(kSrc);
+  EXPECT_EQ(wc.bc_values, fc.bc_values);
+  EXPECT_EQ(wc.sigma, fc.sigma);
+  EXPECT_EQ(wc.depth, fc.depth);
+  expect_same_summary(wc.summary, fc.summary);
 }
 
-TEST(EngineParity, AnalyticsQueriesMatchWrappers) {
+TEST(EngineParity, AnalyticsQueriesWarmMatchFresh) {
   ThreadRestorer tr;
   omp_set_num_threads(1);
   const Csr& g = serving_graph();
-  simt::Device edev, wdev;
-  Engine eng(edev, g);
+  simt::Device wdev, fdev;
+  Engine warm(wdev, g);
+  dirty_every_pool(warm, /*symmetric=*/true);
 
-  const CcResult ecc = eng.cc();
-  const CcResult wcc = gunrock_cc(wdev, g);
-  EXPECT_EQ(ecc.component, wcc.component);
-  EXPECT_EQ(ecc.num_components, wcc.num_components);
-  EXPECT_EQ(ecc.summary.edges_processed, wcc.summary.edges_processed);
+  const CcResult wcc = warm.cc();
+  const CcResult fcc = Engine(fdev, g).cc();
+  EXPECT_EQ(wcc.component, fcc.component);
+  EXPECT_EQ(wcc.num_components, fcc.num_components);
+  expect_same_summary(wcc.summary, fcc.summary);
 
-  const PagerankResult epr = eng.pagerank();
-  const PagerankResult wpr = gunrock_pagerank(wdev, g);
-  EXPECT_EQ(epr.rank, wpr.rank);
-  EXPECT_EQ(epr.summary.iterations, wpr.summary.iterations);
+  const PagerankResult wpr = warm.pagerank();
+  const PagerankResult fpr = Engine(fdev, g).pagerank();
+  EXPECT_EQ(wpr.rank, fpr.rank);
+  expect_same_summary(wpr.summary, fpr.summary);
 
-  const ColoringResult ecol = eng.coloring();
-  const ColoringResult wcol = gunrock_coloring(wdev, g);
-  EXPECT_EQ(ecol.color, wcol.color);
-  EXPECT_EQ(ecol.num_colors, wcol.num_colors);
+  const ColoringResult wcol = warm.coloring();
+  const ColoringResult fcol = Engine(fdev, g).coloring();
+  EXPECT_EQ(wcol.color, fcol.color);
+  EXPECT_EQ(wcol.num_colors, fcol.num_colors);
+  expect_same_summary(wcol.summary, fcol.summary);
 
-  const MisResult emis = eng.mis();
-  const MisResult wmis = gunrock_mis(wdev, g);
-  EXPECT_EQ(emis.in_set, wmis.in_set);
-  EXPECT_EQ(emis.set_size, wmis.set_size);
+  const MisResult wmis = warm.mis();
+  const MisResult fmis = Engine(fdev, g).mis();
+  EXPECT_EQ(wmis.in_set, fmis.in_set);
+  EXPECT_EQ(wmis.set_size, fmis.set_size);
+  expect_same_summary(wmis.summary, fmis.summary);
 
-  const MstResult emst = eng.mst();
-  const MstResult wmst = gunrock_mst(wdev, g);
-  EXPECT_EQ(emst.total_weight, wmst.total_weight);
-  EXPECT_EQ(emst.edges, wmst.edges);
-  EXPECT_EQ(emst.num_components, wmst.num_components);
+  const MstResult wmst = warm.mst();
+  const MstResult fmst = Engine(fdev, g).mst();
+  EXPECT_EQ(wmst.total_weight, fmst.total_weight);
+  EXPECT_EQ(wmst.edges, fmst.edges);
+  EXPECT_EQ(wmst.num_components, fmst.num_components);
+  expect_same_summary(wmst.summary, fmst.summary);
 
-  const HitsResult eh = eng.hits();
-  const HitsResult wh = gunrock_hits(wdev, g, g);
-  EXPECT_EQ(eh.hub, wh.hub);
-  EXPECT_EQ(eh.authority, wh.authority);
+  const HitsResult wh = warm.hits();
+  const HitsResult fh = Engine(fdev, g).hits();
+  EXPECT_EQ(wh.hub, fh.hub);
+  EXPECT_EQ(wh.authority, fh.authority);
+  expect_same_summary(wh.summary, fh.summary);
 
-  const SalsaResult esa = eng.salsa();
-  const SalsaResult wsa = gunrock_salsa(wdev, g, g);
-  EXPECT_EQ(esa.hub, wsa.hub);
-  EXPECT_EQ(esa.authority, wsa.authority);
+  const SalsaResult wsa = warm.salsa();
+  const SalsaResult fsa = Engine(fdev, g).salsa();
+  EXPECT_EQ(wsa.hub, fsa.hub);
+  EXPECT_EQ(wsa.authority, fsa.authority);
+  expect_same_summary(wsa.summary, fsa.summary);
 }
 
-TEST(EngineParity, BatchedQueriesMatchWrappers) {
+TEST(EngineParity, BatchedQueriesWarmMatchFresh) {
   ThreadRestorer tr;
   omp_set_num_threads(1);
   const Csr& g = serving_graph();
   const std::vector<VertexId> sources = testing::scattered_sources(g, 64);
-  simt::Device edev, wdev;
-  Engine eng(edev, g);
+  simt::Device wdev, fdev;
+  Engine warm(wdev, g);
+  dirty_every_pool(warm, /*symmetric=*/true);
 
-  const BatchBfsResult eb = eng.batch_bfs(sources);
-  const BatchBfsResult wb = batch_bfs(wdev, g, sources);
-  EXPECT_EQ(eb.depth, wb.depth);
-  EXPECT_EQ(eb.summary.iterations, wb.summary.iterations);
+  const BatchBfsResult wb = warm.batch_bfs(sources);
+  const BatchBfsResult fb = Engine(fdev, g).batch_bfs(sources);
+  EXPECT_EQ(wb.depth, fb.depth);
+  expect_same_summary(wb.summary, fb.summary);
 
-  const BatchSsspResult es = eng.batch_sssp(sources);
-  const BatchSsspResult ws = batch_sssp(wdev, g, sources);
-  EXPECT_EQ(es.dist, ws.dist);
-  EXPECT_EQ(es.delta, ws.delta);
-  EXPECT_EQ(es.lane_stats, ws.lane_stats);
+  const BatchSsspResult ws = warm.batch_sssp(sources);
+  const BatchSsspResult fs = Engine(fdev, g).batch_sssp(sources);
+  EXPECT_EQ(ws.dist, fs.dist);
+  EXPECT_EQ(ws.delta, fs.delta);
+  EXPECT_EQ(ws.lane_stats, fs.lane_stats);
+  expect_same_summary(ws.summary, fs.summary);
 
-  const BatchReachabilityResult er = eng.batch_reachability(sources);
-  const BatchReachabilityResult wr = batch_reachability(wdev, g, sources);
-  for (VertexId v = 0; v < g.num_vertices(); v += 7)
-    for (std::uint32_t q = 0; q < er.num_lanes; q += 5)
-      EXPECT_EQ(er.reachable(v, q), wr.reachable(v, q));
+  const BatchReachabilityResult wr = warm.batch_reachability(sources);
+  const BatchReachabilityResult fr =
+      Engine(fdev, g).batch_reachability(sources);
+  ASSERT_EQ(wr.num_lanes, fr.num_lanes);
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    for (std::uint32_t q = 0; q < wr.num_lanes; ++q)
+      ASSERT_EQ(wr.reachable(v, q), fr.reachable(v, q)) << v << "/" << q;
+  expect_same_summary(wr.summary, fr.summary);
 
-  const std::vector<double> ebc = eng.bc_batched(sources);
-  const std::vector<double> wbc = gunrock_bc_batched(wdev, g, sources);
-  EXPECT_EQ(ebc, wbc);
+  const BatchBcForwardResult wf = warm.batch_bc_forward(sources);
+  const BatchBcForwardResult ff = Engine(fdev, g).batch_bc_forward(sources);
+  EXPECT_EQ(wf.depth, ff.depth);
+  EXPECT_EQ(wf.sigma, ff.sigma);
+  expect_same_summary(wf.summary, ff.summary);
 
-  const std::vector<double> esam = eng.bc_sampled(4, 99);
-  const std::vector<double> wsam = gunrock_bc_sampled(wdev, g, 4, 99);
-  EXPECT_EQ(esam, wsam);
+  EXPECT_EQ(warm.bc_batched(sources), Engine(fdev, g).bc_batched(sources));
+  EXPECT_EQ(warm.bc_sampled(4, 99), Engine(fdev, g).bc_sampled(4, 99));
 }
 
 TEST(EngineParity, DirectedGraphsRequireExplicitTranspose) {
@@ -172,15 +226,30 @@ TEST(EngineParity, DirectedGraphsRequireExplicitTranspose) {
   EXPECT_THROW(bare.hits(), CheckError);
   EXPECT_THROW(bare.salsa(), CheckError);
 
-  // With the transpose supplied, results match the explicit wrapper.
-  simt::Device edev, wdev;
-  Engine eng(edev, g, gT);
+  // With the transpose supplied, a warm engine matches a fresh one, and
+  // PageRank over the supplied transpose matches the one the single-graph
+  // engine builds for itself.
   ThreadRestorer tr;
   omp_set_num_threads(1);
-  const HitsResult eh = eng.hits();
-  const HitsResult wh = gunrock_hits(wdev, g, gT);
-  EXPECT_EQ(eh.hub, wh.hub);
-  EXPECT_EQ(eh.authority, wh.authority);
+  simt::Device wdev, fdev;
+  Engine warm(wdev, g, gT);
+  dirty_every_pool(warm, /*symmetric=*/false);
+
+  const HitsResult wh = warm.hits();
+  const HitsResult fh = Engine(fdev, g, gT).hits();
+  EXPECT_EQ(wh.hub, fh.hub);
+  EXPECT_EQ(wh.authority, fh.authority);
+
+  const SalsaResult wsa = warm.salsa();
+  const SalsaResult fsa = Engine(fdev, g, gT).salsa();
+  EXPECT_EQ(wsa.hub, fsa.hub);
+  EXPECT_EQ(wsa.authority, fsa.authority);
+
+  const PagerankResult wpr = warm.pagerank();
+  const PagerankResult fpr = Engine(fdev, g, gT).pagerank();
+  EXPECT_EQ(wpr.rank, fpr.rank);
+  expect_same_summary(wpr.summary, fpr.summary);
+  EXPECT_EQ(bare.pagerank().rank, fpr.rank);
 }
 
 // --- 2. steady-state allocation freedom -------------------------------------

@@ -7,11 +7,10 @@
 #include <functional>
 #include <set>
 
+#include "api/engine.hpp"
 #include "core/neighbor_reduce.hpp"
 #include "core/sample.hpp"
 #include "graph/datasets.hpp"
-#include "primitives/hits.hpp"
-#include "primitives/mis.hpp"
 #include "test_common.hpp"
 
 namespace grx {
@@ -26,10 +25,12 @@ TEST(NeighborReduce, DegreeViaCountReduction) {
   f.assign({0, 5, 17, 100});
   NoProblem p;
   std::vector<std::uint32_t> out;
+  AdvanceWorkspace ws;
   neighbor_reduce<std::uint32_t>(
       dev, g, f, out, p, 0,
       [](VertexId, VertexId, EdgeId, NoProblem&) { return 1u; },
-      [](std::uint32_t a, std::uint32_t b) { return a + b; });
+      [](std::uint32_t a, std::uint32_t b) { return a + b; }, AdvanceConfig{},
+      ws);
   ASSERT_EQ(out.size(), 4u);
   for (std::size_t i = 0; i < out.size(); ++i)
     EXPECT_EQ(out[i], g.degree(f.items()[i]));
@@ -42,10 +43,12 @@ TEST(NeighborReduce, MaxNeighborId) {
   f.assign({0, 3});
   NoProblem p;
   std::vector<VertexId> out;
+  AdvanceWorkspace ws;
   neighbor_reduce<VertexId>(
       dev, g, f, out, p, 0,
       [](VertexId, VertexId u, EdgeId, NoProblem&) { return u; },
-      [](VertexId a, VertexId b) { return std::max(a, b); });
+      [](VertexId a, VertexId b) { return std::max(a, b); }, AdvanceConfig{},
+      ws);
   EXPECT_EQ(out[0], 15u);  // hub sees all leaves
   EXPECT_EQ(out[1], 0u);   // leaf sees only the hub
 }
@@ -57,13 +60,14 @@ TEST(NeighborReduce, WeightSumMatchesManual) {
   f.assign_iota(g.num_vertices());
   NoProblem p;
   std::vector<double> out;
+  AdvanceWorkspace ws;
   neighbor_reduce<double>(
       dev, g, f, out, p, 0.0,
       [&](VertexId v, VertexId, EdgeId e, NoProblem&) {
         (void)v;
         return static_cast<double>(g.weight(e));
       },
-      [](double a, double b) { return a + b; });
+      [](double a, double b) { return a + b; }, AdvanceConfig{}, ws);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     double want = 0.0;
     for (Weight w : g.edge_weights(v)) want += w;
@@ -77,10 +81,11 @@ TEST(NeighborReduce, EmptyFrontier) {
   Frontier f;
   NoProblem p;
   std::vector<int> out{42};
+  AdvanceWorkspace ws;
   neighbor_reduce<int>(
       dev, g, f, out, p, 0,
       [](VertexId, VertexId, EdgeId, NoProblem&) { return 1; },
-      [](int a, int b) { return a + b; });
+      [](int a, int b) { return a + b; }, AdvanceConfig{}, ws);
   EXPECT_TRUE(out.empty());
 }
 
@@ -145,7 +150,7 @@ TEST(Hits, StarGraphHubAuthority) {
   const Csr g = build_csr(el);
   const Csr gT = transpose(g);
   simt::Device dev;
-  const HitsResult r = gunrock_hits(dev, g, gT);
+  const HitsResult r = Engine(dev, g, gT).hits();
   EXPECT_NEAR(r.hub[0], 1.0, 1e-9);
   for (VertexId v = 1; v < 8; ++v) {
     EXPECT_NEAR(r.hub[v], 0.0, 1e-9);
@@ -158,7 +163,7 @@ TEST(Hits, UndirectedScoresCoincideWithEigenvector) {
   // On an undirected graph hub == authority; scores are L2-normalized.
   const Csr g = build_dataset("hollywood-s", /*shrink=*/6);
   simt::Device dev;
-  const HitsResult r = gunrock_hits(dev, g, g);
+  const HitsResult r = Engine(dev, g, g).hits();
   double ss_h = 0.0, ss_a = 0.0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     ss_h += r.hub[v] * r.hub[v];
@@ -179,7 +184,7 @@ TEST(Hits, BipartiteRanking) {
   const Csr g = build_csr(el);
   const Csr gT = transpose(g);
   simt::Device dev;
-  const HitsResult r = gunrock_hits(dev, g, gT);
+  const HitsResult r = Engine(dev, g, gT).hits();
   EXPECT_GT(r.authority[2], r.authority[3]);
   EXPECT_GT(r.authority[2], r.authority[4]);
   EXPECT_GT(r.hub[0], 0.0);
@@ -191,7 +196,7 @@ class MisDatasetTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(MisDatasetTest, IndependentAndMaximal) {
   const Csr g = build_dataset(GetParam(), /*shrink=*/5);
   simt::Device dev;
-  const MisResult r = gunrock_mis(dev, g);
+  const MisResult r = Engine(dev, g).mis();
   // Independence: no edge joins two set members.
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     if (r.in_set[v])
@@ -222,7 +227,7 @@ TEST(Mis, IsolatedVerticesAlwaysJoin) {
   el.edges = {{0, 1, 1}};
   const Csr g = testing::undirected(el);
   simt::Device dev;
-  const MisResult r = gunrock_mis(dev, g);
+  const MisResult r = Engine(dev, g).mis();
   for (VertexId v = 2; v < 6; ++v) EXPECT_TRUE(r.in_set[v]);
   EXPECT_EQ(r.in_set[0] + r.in_set[1], 1);
 }
@@ -230,14 +235,14 @@ TEST(Mis, IsolatedVerticesAlwaysJoin) {
 TEST(Mis, CompleteGraphPicksExactlyOne) {
   const Csr g = testing::undirected(complete_graph(32));
   simt::Device dev;
-  const MisResult r = gunrock_mis(dev, g);
+  const MisResult r = Engine(dev, g).mis();
   EXPECT_EQ(r.set_size, 1u);
 }
 
 TEST(Mis, ConvergesInLogarithmicRounds) {
   const Csr g = build_dataset("soc-orkut-s", /*shrink=*/4);
   simt::Device dev;
-  const MisResult r = gunrock_mis(dev, g);
+  const MisResult r = Engine(dev, g).mis();
   // Luby: O(log n) rounds w.h.p.; allow generous slack.
   EXPECT_LT(r.summary.iterations, 40u);
 }
@@ -245,8 +250,10 @@ TEST(Mis, ConvergesInLogarithmicRounds) {
 TEST(Mis, DeterministicForFixedSeed) {
   const Csr g = testing::random_graph(512, 2048, 12);
   simt::Device dev;
-  const MisResult a = gunrock_mis(dev, g, 42);
-  const MisResult b = gunrock_mis(dev, g, 42);
+  QueryOptions q;
+  q.seed = 42;
+  const MisResult a = Engine(dev, g).mis(q);
+  const MisResult b = Engine(dev, g).mis(q);
   EXPECT_EQ(a.in_set, b.in_set);
 }
 

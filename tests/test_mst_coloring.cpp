@@ -2,10 +2,9 @@
 // spanning tree (Boruvka) and greedy graph coloring (Jones-Plassmann).
 #include <gtest/gtest.h>
 
+#include "api/engine.hpp"
 #include "baselines/serial/serial.hpp"
 #include "graph/datasets.hpp"
-#include "primitives/coloring.hpp"
-#include "primitives/mst.hpp"
 #include "test_common.hpp"
 
 namespace grx {
@@ -22,7 +21,7 @@ class MstDatasetTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(MstDatasetTest, WeightMatchesKruskalAndFormsSpanningForest) {
   const Csr g = build_dataset(GetParam(), /*shrink=*/5);
   simt::Device dev;
-  const MstResult r = gunrock_mst(dev, g);
+  const MstResult r = Engine(dev, g).mst();
   EXPECT_EQ(r.total_weight, serial::mst_weight(g));
   EXPECT_TRUE(serial::is_spanning_forest(g, edge_pairs(r)));
   EXPECT_EQ(r.num_components,
@@ -47,7 +46,7 @@ TEST(Mst, PathGraphTakesAllEdges) {
   b.symmetrize = true;
   const Csr g = build_csr(el, b);
   simt::Device dev;
-  const MstResult r = gunrock_mst(dev, g);
+  const MstResult r = Engine(dev, g).mst();
   EXPECT_EQ(r.edges.size(), 7u);
   EXPECT_EQ(r.total_weight, 10u + 11 + 12 + 13 + 14 + 15 + 16);
 }
@@ -60,7 +59,7 @@ TEST(Mst, CycleDropsHeaviestEdge) {
   b.symmetrize = true;
   const Csr g = build_csr(el, b);
   simt::Device dev;
-  const MstResult r = gunrock_mst(dev, g);
+  const MstResult r = Engine(dev, g).mst();
   EXPECT_EQ(r.edges.size(), 4u);
   EXPECT_EQ(r.total_weight, 3u + 1 + 4 + 1);  // drops the weight-5 edge
 }
@@ -74,7 +73,7 @@ TEST(Mst, EqualWeightsStillAForest) {
   b.symmetrize = true;
   const Csr g = build_csr(el, b);
   simt::Device dev;
-  const MstResult r = gunrock_mst(dev, g);
+  const MstResult r = Engine(dev, g).mst();
   EXPECT_EQ(r.edges.size(), 23u);
   EXPECT_EQ(r.total_weight, 23u * 7);
   EXPECT_TRUE(serial::is_spanning_forest(g, edge_pairs(r)));
@@ -86,7 +85,7 @@ TEST(Mst, DisconnectedGraphGivesForest) {
   el.edges = {{0, 1, 2}, {1, 2, 3}, {2, 0, 9}, {3, 4, 5}};
   const Csr g = testing::undirected_symw(el, 1);
   simt::Device dev;
-  const MstResult r = gunrock_mst(dev, g);
+  const MstResult r = Engine(dev, g).mst();
   EXPECT_EQ(r.num_components, 4u);  // {0,1,2}, {3,4}, {5}, {6}
   EXPECT_EQ(r.total_weight, serial::mst_weight(g));
   EXPECT_TRUE(serial::is_spanning_forest(g, edge_pairs(r)));
@@ -96,7 +95,7 @@ TEST(Mst, RandomSweepMatchesKruskal) {
   for (std::uint64_t seed : {11ull, 22ull, 33ull, 44ull}) {
     const Csr g = testing::random_graph(512, 1500, seed);
     simt::Device dev;
-    const MstResult r = gunrock_mst(dev, g);
+    const MstResult r = Engine(dev, g).mst();
     EXPECT_EQ(r.total_weight, serial::mst_weight(g)) << "seed " << seed;
     EXPECT_TRUE(serial::is_spanning_forest(g, edge_pairs(r)))
         << "seed " << seed;
@@ -106,7 +105,7 @@ TEST(Mst, RandomSweepMatchesKruskal) {
 TEST(Mst, RequiresWeights) {
   const Csr g(2, {0, 1, 2}, {1, 0});
   simt::Device dev;
-  EXPECT_THROW(gunrock_mst(dev, g), CheckError);
+  EXPECT_THROW(Engine(dev, g).mst(), CheckError);
 }
 
 class ColoringDatasetTest : public ::testing::TestWithParam<std::string> {};
@@ -114,7 +113,7 @@ class ColoringDatasetTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(ColoringDatasetTest, ProperAndBounded) {
   const Csr g = build_dataset(GetParam(), /*shrink=*/5);
   simt::Device dev;
-  const ColoringResult r = gunrock_coloring(dev, g);
+  const ColoringResult r = Engine(dev, g).coloring();
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     ASSERT_NE(r.color[v], kInfinity) << v;
     for (VertexId u : g.neighbors(v)) ASSERT_NE(r.color[v], r.color[u]);
@@ -136,7 +135,7 @@ TEST(Coloring, BipartiteNeedsTwoColors) {
   // stay well under max-degree+1 = 3 here.
   const Csr g = testing::undirected(cycle_graph(64));
   simt::Device dev;
-  const ColoringResult r = gunrock_coloring(dev, g);
+  const ColoringResult r = Engine(dev, g).coloring();
   EXPECT_LE(r.num_colors, 3u);
 }
 
@@ -144,7 +143,7 @@ TEST(Coloring, CompleteGraphNeedsAllColors) {
   const std::uint32_t k = 16;
   const Csr g = testing::undirected(complete_graph(k));
   simt::Device dev;
-  const ColoringResult r = gunrock_coloring(dev, g);
+  const ColoringResult r = Engine(dev, g).coloring();
   EXPECT_EQ(r.num_colors, k);
 }
 
@@ -153,7 +152,7 @@ TEST(Coloring, IsolatedVerticesGetColorZero) {
   el.num_vertices = 5;
   const Csr g = build_csr(el);
   simt::Device dev;
-  const ColoringResult r = gunrock_coloring(dev, g);
+  const ColoringResult r = Engine(dev, g).coloring();
   for (VertexId v = 0; v < 5; ++v) EXPECT_EQ(r.color[v], 0u);
   EXPECT_EQ(r.num_colors, 1u);
 }
@@ -161,15 +160,17 @@ TEST(Coloring, IsolatedVerticesGetColorZero) {
 TEST(Coloring, DeterministicForFixedSeed) {
   const Csr g = testing::random_graph(256, 1024, 9);
   simt::Device dev;
-  const ColoringResult a = gunrock_coloring(dev, g, 5);
-  const ColoringResult b = gunrock_coloring(dev, g, 5);
+  QueryOptions q;
+  q.seed = 5;
+  const ColoringResult a = Engine(dev, g).coloring(q);
+  const ColoringResult b = Engine(dev, g).coloring(q);
   EXPECT_EQ(a.color, b.color);
 }
 
 TEST(Coloring, StarUsesTwoColors) {
   const Csr g = testing::undirected(star_graph(64));
   simt::Device dev;
-  const ColoringResult r = gunrock_coloring(dev, g);
+  const ColoringResult r = Engine(dev, g).coloring();
   EXPECT_EQ(r.num_colors, 2u);
 }
 

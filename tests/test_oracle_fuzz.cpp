@@ -22,9 +22,6 @@
 #include "baselines/serial/serial.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "primitives/batch.hpp"
-#include "primitives/bfs.hpp"
-#include "primitives/sssp.hpp"
 #include "test_common.hpp"
 #include "util/rng.hpp"
 
@@ -138,14 +135,14 @@ TEST(OracleFuzz, SingleQueryBfsMatchesSerial) {
       simt::Device dev;
       for (const VertexId s : fuzz_sources(c.g, 4)) {
         const auto oracle = serial::bfs(c.g, s);
-        BfsOptions opts;
+        QueryOptions opts;
         opts.record_predecessors = false;
-        const BfsResult push = gunrock_bfs(dev, c.g, s, opts);
+        const BfsResult push = Engine(dev, c.g).bfs(s, opts);
         ASSERT_EQ(push.depth, oracle) << c.name << " src " << s << " push";
         if (c.symmetric) {
           opts.direction = Direction::kOptimal;
           opts.idempotent = true;
-          const BfsResult opt = gunrock_bfs(dev, c.g, s, opts);
+          const BfsResult opt = Engine(dev, c.g).bfs(s, opts);
           ASSERT_EQ(opt.depth, oracle) << c.name << " src " << s << " opt";
         }
       }
@@ -161,13 +158,13 @@ TEST(OracleFuzz, SingleQuerySsspMatchesDijkstra) {
         const auto oracle = serial::dijkstra(c.g, s);
         // Auto-delta, forced near/far, and plain Bellman-Ford frontier
         // must all land on the oracle distances.
-        SsspOptions auto_pq;
-        SsspOptions forced;
+        QueryOptions auto_pq;
+        QueryOptions forced;
         forced.delta = 16;
-        SsspOptions off;
+        QueryOptions off;
         off.use_priority_queue = false;
-        for (const SsspOptions& o : {auto_pq, forced, off}) {
-          const SsspResult r = gunrock_sssp(dev, c.g, s, o);
+        for (const QueryOptions& o : {auto_pq, forced, off}) {
+          const SsspResult r = Engine(dev, c.g).sssp(s, o);
           ASSERT_EQ(r.dist, oracle)
               << c.name << " src " << s << " delta " << o.delta
               << (o.use_priority_queue ? " pq" : " plain");
@@ -200,12 +197,12 @@ TEST(OracleFuzz, BatchedBfsMatchesSerialEveryLane) {
       // reference must both land on the oracle (and hence on each other).
       for (const simt::VecBackend vb :
            {simt::VecBackend::kAuto, simt::VecBackend::kScalar}) {
-        BatchOptions bopts;
+        QueryOptions bopts;
         bopts.backend.vec = vb;
-        runs.push_back(batch_bfs(dev, c.g, sources, bopts));  // push
+        runs.push_back(Engine(dev, c.g).batch_bfs(sources, bopts));  // push
         if (c.symmetric) {
           bopts.direction = Direction::kOptimal;
-          runs.push_back(batch_bfs(dev, c.g, sources, bopts));
+          runs.push_back(Engine(dev, c.g).batch_bfs(sources, bopts));
         }
       }
       for (std::uint32_t q = 0; q < sources.size(); ++q) {
@@ -224,17 +221,17 @@ TEST(OracleFuzz, BatchedSsspMatchesDijkstraEveryLane) {
     for (const FuzzCase& c : fuzz_cases(seed)) {
       const auto sources = fuzz_sources(c.g, 9);
       simt::Device dev;
-      BatchOptions auto_pq;           // auto sizing (off on tiny graphs)
-      BatchOptions forced;            // per-lane schedule exercised
+      QueryOptions auto_pq;           // auto sizing (off on tiny graphs)
+      QueryOptions forced;            // per-lane schedule exercised
       forced.delta = 16;
-      BatchOptions off;               // Bellman-Ford baseline path
+      QueryOptions off;               // Bellman-Ford baseline path
       off.use_priority_queue = false;
       // Scalar-forced near/far arm: the vector and reference lane kernels
       // sweep the same hostile shapes.
-      BatchOptions forced_scalar = forced;
+      QueryOptions forced_scalar = forced;
       forced_scalar.backend.vec = simt::VecBackend::kScalar;
-      for (const BatchOptions& o : {auto_pq, forced, off, forced_scalar}) {
-        const BatchSsspResult run = batch_sssp(dev, c.g, sources, o);
+      for (const QueryOptions& o : {auto_pq, forced, off, forced_scalar}) {
+        const BatchSsspResult run = Engine(dev, c.g).batch_sssp(sources, o);
         for (std::uint32_t q = 0; q < sources.size(); ++q) {
           const auto oracle = serial::dijkstra(c.g, sources[q]);
           for (VertexId v = 0; v < c.g.num_vertices(); ++v)
@@ -742,17 +739,18 @@ TEST(OracleFuzz, MultiWordBatchMatchesSerialEveryLane) {
   const FuzzCase c = power_law_case(5);
   const auto sources = fuzz_sources(c.g, 67);
   simt::Device dev;
-  BatchOptions forced;
+  QueryOptions forced;
   forced.delta = 12;
-  const BatchSsspResult sssp = batch_sssp(dev, c.g, sources, forced);
+  const BatchSsspResult sssp = Engine(dev, c.g).batch_sssp(sources, forced);
   ASSERT_EQ(sssp.delta, 12u);
   ASSERT_EQ(sssp.lane_stats.size(), sources.size());
-  const BatchBfsResult bfs = batch_bfs(dev, c.g, sources);
+  const BatchBfsResult bfs = Engine(dev, c.g).batch_bfs(sources);
   // Multi-word backend parity: the forced-scalar run must be byte-equal —
   // distances, per-lane schedule stats, and probe-fed edge counts alike.
-  BatchOptions forced_scalar = forced;
+  QueryOptions forced_scalar = forced;
   forced_scalar.backend.vec = simt::VecBackend::kScalar;
-  const BatchSsspResult sc = batch_sssp(dev, c.g, sources, forced_scalar);
+  const BatchSsspResult sc =
+      Engine(dev, c.g).batch_sssp(sources, forced_scalar);
   EXPECT_EQ(sc.dist, sssp.dist);
   EXPECT_EQ(sc.lane_stats, sssp.lane_stats);
   EXPECT_EQ(sc.summary.edges_processed, sssp.summary.edges_processed);

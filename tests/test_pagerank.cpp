@@ -7,7 +7,6 @@
 #include "graph/builder.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
-#include "primitives/pagerank.hpp"
 #include "test_common.hpp"
 
 namespace grx {
@@ -23,10 +22,10 @@ TEST_P(PrDatasetTest, MatchesPowerIteration) {
   const Csr g = build_dataset(GetParam(), /*shrink=*/5);
   const auto oracle = serial::pagerank(g, 0.85, 20);
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 0.0;  // no frontier pruning: exact match to the oracle
   opts.max_iterations = 20;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   EXPECT_TRUE(testing::near_vectors(r.rank, oracle, 1e-10));
 }
 
@@ -43,9 +42,9 @@ INSTANTIATE_TEST_SUITE_P(Datasets, PrDatasetTest,
 TEST(Pagerank, SumsToOne) {
   const Csr g = build_dataset("hollywood-s", /*shrink=*/5);
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 0.0;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   EXPECT_NEAR(sum(r.rank), 1.0, 1e-9);
 }
 
@@ -56,10 +55,10 @@ TEST(Pagerank, StarGraphClosedForm) {
   const std::uint32_t n = 11;
   const Csr g = testing::undirected(star_graph(n));
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 0.0;
   opts.max_iterations = 200;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   const double d = opts.damping;
   // Fixed point: center = (1-d)/n + d * (sum of leaves), each leaf
   // = (1-d)/n + d * center/(n-1).
@@ -79,9 +78,9 @@ TEST(Pagerank, UniformOnRegularGraph) {
   // On a cycle (2-regular), PageRank is exactly uniform.
   const Csr g = testing::undirected(cycle_graph(64));
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 0.0;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   for (VertexId v = 0; v < 64; ++v) EXPECT_NEAR(r.rank[v], 1.0 / 64, 1e-12);
 }
 
@@ -92,9 +91,9 @@ TEST(Pagerank, DanglingMassRedistributed) {
   el.edges = {{0, 1, 1}, {1, 2, 1}};
   const Csr g = testing::undirected(el);
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 0.0;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   EXPECT_NEAR(sum(r.rank), 1.0, 1e-9);
   const auto oracle = serial::pagerank(g, 0.85, 50);
   EXPECT_TRUE(testing::near_vectors(r.rank, oracle, 1e-10));
@@ -103,10 +102,10 @@ TEST(Pagerank, DanglingMassRedistributed) {
 TEST(Pagerank, ConvergencePruningShrinksFrontier) {
   const Csr g = build_dataset("rgg-s", /*shrink=*/5);
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 1e-3;  // aggressive pruning
   opts.max_iterations = 50;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   ASSERT_GE(r.summary.per_iteration.size(), 2u);
   const auto& last = r.summary.per_iteration.back();
   const auto& first = r.summary.per_iteration.front();
@@ -117,9 +116,9 @@ TEST(Pagerank, PrunedStillCloseToExact) {
   const Csr g = build_dataset("soc-orkut-s", /*shrink=*/6);
   const auto oracle = serial::pagerank(g, 0.85, 50);
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 1e-9;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   double l1 = 0.0;
   for (std::size_t v = 0; v < oracle.size(); ++v)
     l1 += std::abs(oracle[v] - r.rank[v]);
@@ -130,9 +129,9 @@ TEST(Pagerank, HigherDegreeGetsMoreRankOnChain) {
   // On a path, interior vertices (degree 2) outrank endpoints (degree 1).
   const Csr g = testing::undirected(path_graph(8));
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 0.0;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   EXPECT_GT(r.rank[3], r.rank[0]);
   EXPECT_GT(r.rank[4], r.rank[7]);
 }
@@ -147,8 +146,8 @@ Csr directed_rmat(std::uint32_t scale, std::uint64_t seed) {
   return g;
 }
 
-PagerankOptions exact_options() {
-  PagerankOptions opts;
+QueryOptions exact_options() {
+  QueryOptions opts;
   opts.epsilon = 0.0;
   opts.max_iterations = 20;
   return opts;
@@ -183,10 +182,10 @@ TEST(PagerankDirected, EngineWithExplicitTranspose) {
                                     serial::pagerank(g, 0.85, 20), 1e-10));
 }
 
-TEST(PagerankDirected, OneShotWrapper) {
+TEST(PagerankDirected, TemporaryEngine) {
   const Csr g = directed_rmat(13, 94);
   simt::Device dev;
-  const PagerankResult r = gunrock_pagerank(dev, g, exact_options());
+  const PagerankResult r = Engine(dev, g).pagerank(exact_options());
   EXPECT_TRUE(
       testing::near_vectors(r.rank, serial::pagerank(g, 0.85, 20), 1e-10));
   EXPECT_NEAR(sum(r.rank), 1.0, 1e-9);

@@ -5,12 +5,8 @@
 #include <numeric>
 #include <tuple>
 
+#include "api/engine.hpp"
 #include "baselines/serial/serial.hpp"
-#include "primitives/bc.hpp"
-#include "primitives/bfs.hpp"
-#include "primitives/cc.hpp"
-#include "primitives/pagerank.hpp"
-#include "primitives/sssp.hpp"
 #include "test_common.hpp"
 
 namespace grx {
@@ -30,7 +26,7 @@ class PropertyTest : public ::testing::TestWithParam<Shape> {
 TEST_P(PropertyTest, BfsDepthsDifferByAtMostOneAcrossEdges) {
   const Csr g = graph();
   simt::Device dev;
-  const BfsResult r = gunrock_bfs(dev, g, 0);
+  const BfsResult r = Engine(dev, g).bfs(0);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     ASSERT_NE(r.depth[v], kInfinity);  // random_graph is connected
     for (VertexId u : g.neighbors(v)) {
@@ -45,7 +41,7 @@ TEST_P(PropertyTest, BfsDepthsDifferByAtMostOneAcrossEdges) {
 TEST_P(PropertyTest, SsspSatisfiesTriangleInequalityOnEveryEdge) {
   const Csr g = graph();
   simt::Device dev;
-  const SsspResult r = gunrock_sssp(dev, g, 0);
+  const SsspResult r = Engine(dev, g).sssp(0);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     const auto nbrs = g.neighbors(v);
     const auto ws = g.edge_weights(v);
@@ -61,7 +57,7 @@ TEST_P(PropertyTest, SsspDominatedByBfsHops) {
   const Csr g = graph();
   simt::Device dev;
   const auto bfs_depth = serial::bfs(g, 0);
-  const SsspResult r = gunrock_sssp(dev, g, 0);
+  const SsspResult r = Engine(dev, g).sssp(0);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     // Each hop costs at least weight 1 and at most 64.
     ASSERT_GE(r.dist[v], bfs_depth[v]);
@@ -72,7 +68,7 @@ TEST_P(PropertyTest, SsspDominatedByBfsHops) {
 TEST_P(PropertyTest, CcIsAnEquivalenceConsistentWithEdges) {
   const Csr g = graph();
   simt::Device dev;
-  const CcResult r = gunrock_cc(dev, g);
+  const CcResult r = Engine(dev, g).cc();
   // Connected input: exactly one component, the canonical min id 0.
   EXPECT_EQ(r.num_components, 1u);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
@@ -82,10 +78,10 @@ TEST_P(PropertyTest, CcIsAnEquivalenceConsistentWithEdges) {
 TEST_P(PropertyTest, PagerankIsAProbabilityDistribution) {
   const Csr g = graph();
   simt::Device dev;
-  PagerankOptions opts;
+  QueryOptions opts;
   opts.epsilon = 0.0;
   opts.max_iterations = 30;
-  const PagerankResult r = gunrock_pagerank(dev, g, opts);
+  const PagerankResult r = Engine(dev, g).pagerank(opts);
   double total = 0.0;
   for (double x : r.rank) {
     ASSERT_GT(x, 0.0);
@@ -97,7 +93,7 @@ TEST_P(PropertyTest, PagerankIsAProbabilityDistribution) {
 TEST_P(PropertyTest, BcValuesAreNonNegativeAndBounded) {
   const Csr g = graph();
   simt::Device dev;
-  const BcResult r = gunrock_bc(dev, g, 0);
+  const BcResult r = Engine(dev, g).bc(0);
   const double n = g.num_vertices();
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     ASSERT_GE(r.bc_values[v], 0.0);
@@ -113,7 +109,7 @@ TEST_P(PropertyTest, BcDependencySumEqualsPathLengthSum) {
   // each shortest path of length L contributes L-1 interior credits.
   const Csr g = graph();
   simt::Device dev;
-  const BcResult r = gunrock_bc(dev, g, 0);
+  const BcResult r = Engine(dev, g).bc(0);
   const auto depth = serial::bfs(g, 0);
   double interior_credits = 0.0;
   for (VertexId v = 0; v < g.num_vertices(); ++v)

@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -446,6 +447,92 @@ TEST(ServerCache, KeySeparatesSourceKindAndFuseOptions) {
   const ServerStats s = server.stats();
   EXPECT_EQ(s.cache_hits, 1u);
   EXPECT_EQ(s.cache_entries, 4u);
+}
+
+/// The number of fields of aggregate `T`: the largest N for which
+/// `T{f1, ..., fN}` is well-formed with convert-to-anything initializers.
+struct AnyField {
+  template <typename T>
+  operator T() const;  // declared only: used in unevaluated contexts
+};
+template <typename T, typename... Fields>
+constexpr std::size_t field_count() {
+  if constexpr (requires { T{Fields{}..., AnyField{}}; })
+    return field_count<T, Fields..., AnyField>();
+  else
+    return sizeof...(Fields);
+}
+
+/// One QueryOptions field moved off its default. The list names every
+/// field but `cache` (the opt-out itself, covered above): a new field
+/// fails the static_assert below until it gets a row here.
+struct FieldMutation {
+  const char* field;
+  void (*apply)(QueryOptions&);
+};
+constexpr FieldMutation kFieldMutations[] = {
+    {"strategy",
+     [](QueryOptions& o) { o.strategy = AdvanceStrategy::kLoadBalanced; }},
+    {"direction", [](QueryOptions& o) { o.direction = Direction::kOptimal; }},
+    {"lb_node_edge_threshold",
+     [](QueryOptions& o) { o.lb_node_edge_threshold = 0; }},
+    {"pull_alpha", [](QueryOptions& o) { o.pull_alpha = 2.0; }},
+    {"pull_beta", [](QueryOptions& o) { o.pull_beta = 4.0; }},
+    {"idempotent", [](QueryOptions& o) { o.idempotent = false; }},
+    {"record_predecessors",
+     [](QueryOptions& o) { o.record_predecessors = false; }},
+    {"use_priority_queue",
+     [](QueryOptions& o) { o.use_priority_queue = false; }},
+    {"delta", [](QueryOptions& o) { o.delta = 8; }},
+    {"backend",
+     [](QueryOptions& o) { o.backend.vec = simt::VecBackend::kScalar; }},
+    {"damping", [](QueryOptions& o) { o.damping = 0.5; }},
+    {"epsilon", [](QueryOptions& o) { o.epsilon = 1e-3; }},
+    {"max_iterations", [](QueryOptions& o) { o.max_iterations = 5; }},
+    {"iterations", [](QueryOptions& o) { o.iterations = 3; }},
+    {"seed", [](QueryOptions& o) { o.seed = 7; }},
+    {"cancel", [](QueryOptions& o) { o.cancel = CancelToken::make(); }},
+};
+static_assert(std::size(kFieldMutations) + 1 == field_count<QueryOptions>(),
+              "every QueryOptions field needs a row in kFieldMutations");
+
+TEST(ServerCache, KeyCoversEveryOptionThatChangesBytes) {
+  // For each served kind and each option moved off its default, one at a
+  // time: either the serving key changes (the query misses the default
+  // query's cache entry), or a dedicated computation with the moved option
+  // returns the default bytes. A consumed option missing from the key
+  // would make the cache serve another configuration's bytes silently.
+  const Csr& g = serving_graph();
+  ServerOptions so = cached_options();
+  so.coalesce = false;
+  Server server(g, so);
+  constexpr VertexId kSource = 5;
+  std::uint32_t keyed = 0;
+  for (const QueryKind kind :
+       {QueryKind::kBfs, QueryKind::kSssp, QueryKind::kReachability,
+        QueryKind::kBcForward, QueryKind::kCc, QueryKind::kPagerank}) {
+    QueryRequest def;
+    def.kind = kind;
+    def.source = kSource;
+    const QueryResult base = server.submit(def).get();
+    for (const FieldMutation& m : kFieldMutations) {
+      const std::string ctx = std::string("kind ") +
+                              std::to_string(static_cast<int>(kind)) + " " +
+                              m.field;
+      QueryRequest req = def;
+      m.apply(req.opts);
+      if (!server.submit(req).get().cached) {
+        ++keyed;  // the key changed: the default entry was not served
+        continue;
+      }
+      req.opts.cache = false;  // same key: recompute with the moved option
+      expect_equal(server.submit(req).get(), base, ctx);
+    }
+  }
+  // Sanity: the key does react to options (4 coalescable kinds x the 8
+  // BatchOptions fields, plus PageRank's strategy/damping/epsilon/
+  // max_iterations).
+  EXPECT_EQ(keyed, 4u * 8u + 4u);
 }
 
 TEST(ServerCache, PerQueryOptOutNeverHitsNorPublishes) {

@@ -2,10 +2,9 @@
 
 #include <tuple>
 
+#include "api/engine.hpp"
 #include "baselines/serial/serial.hpp"
 #include "graph/datasets.hpp"
-#include "primitives/batch.hpp"
-#include "primitives/sssp.hpp"
 #include "test_common.hpp"
 
 namespace grx {
@@ -22,10 +21,10 @@ TEST_P(SsspSweep, MatchesDijkstra) {
   const auto oracle = serial::dijkstra(g, source);
 
   simt::Device dev;
-  SsspOptions opts;
+  QueryOptions opts;
   opts.strategy = strategy;
   opts.use_priority_queue = use_pq;
-  const SsspResult r = gunrock_sssp(dev, g, source, opts);
+  const SsspResult r = Engine(dev, g).sssp(source, opts);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     ASSERT_EQ(r.dist[v], oracle[v]) << "vertex " << v;
 }
@@ -53,9 +52,9 @@ TEST(Sssp, DeltaSweepAllAgree) {
   const auto oracle = serial::dijkstra(g, 7);
   simt::Device dev;
   for (std::uint32_t delta : {1u, 8u, 64u, 256u, 100000u}) {
-    SsspOptions opts;
+    QueryOptions opts;
     opts.delta = delta;
-    const SsspResult r = gunrock_sssp(dev, g, 7, opts);
+    const SsspResult r = Engine(dev, g).sssp(7, opts);
     for (VertexId v = 0; v < g.num_vertices(); ++v)
       ASSERT_EQ(r.dist[v], oracle[v]) << "delta " << delta << " v " << v;
   }
@@ -69,7 +68,7 @@ TEST(Sssp, PathGraphDistancesAreWeightPrefixSums) {
   b.symmetrize = true;
   const Csr g = build_csr(el, b);
   simt::Device dev;
-  const SsspResult r = gunrock_sssp(dev, g, 0);
+  const SsspResult r = Engine(dev, g).sssp(0);
   std::uint32_t acc = 0;
   for (VertexId v = 0; v < 6; ++v) {
     EXPECT_EQ(r.dist[v], acc);
@@ -83,14 +82,14 @@ TEST(Sssp, UnreachableStaysInfinity) {
   el.edges = {{0, 1, 4}};
   const Csr g = testing::undirected_symw(el);
   simt::Device dev;
-  const SsspResult r = gunrock_sssp(dev, g, 0);
+  const SsspResult r = Engine(dev, g).sssp(0);
   EXPECT_EQ(r.dist[2], kInfinity);
 }
 
 TEST(Sssp, PredecessorsFormShortestPathTree) {
   const Csr g = testing::random_graph(256, 1024, 17);
   simt::Device dev;
-  const SsspResult r = gunrock_sssp(dev, g, 0);
+  const SsspResult r = Engine(dev, g).sssp(0);
   for (VertexId v = 1; v < g.num_vertices(); ++v) {
     if (r.dist[v] == kInfinity) continue;
     const VertexId p = r.pred[v];
@@ -115,7 +114,7 @@ TEST(Sssp, RequiresWeights) {
                  {g.row_offsets().begin(), g.row_offsets().end()},
                  {g.col_indices().begin(), g.col_indices().end()});
   simt::Device dev;
-  EXPECT_THROW(gunrock_sssp(dev, unweighted, 0), CheckError);
+  EXPECT_THROW(Engine(dev, unweighted).sssp(0), CheckError);
 }
 
 TEST(Sssp, AutoDeltaGatesOnDegree) {
@@ -147,9 +146,10 @@ TEST(Sssp, StaleFarPileEntriesPromoteByCurrentDistance) {
   const auto oracle = serial::dijkstra(g, 0);
   ASSERT_EQ(oracle[9], 9u);
   simt::Device dev;
-  SsspOptions opts;
+  Engine eng(dev, g);
+  QueryOptions opts;
   opts.delta = 4;  // force a fine near/far schedule
-  const SsspResult r = gunrock_sssp(dev, g, 0, opts);
+  const SsspResult r = eng.sssp(0, opts);
   EXPECT_EQ(r.dist, oracle);
   // The far pile really was exercised (both heavy relaxations banked).
   EXPECT_GE(r.pq_stats.far_total, 2u);
@@ -158,9 +158,9 @@ TEST(Sssp, StaleFarPileEntriesPromoteByCurrentDistance) {
   // Batched mirror: same graph, lane 0 from source 0 — the bit-matrix far
   // bank clears the stale bit on promotion instead of keeping duplicates.
   const VertexId sources[] = {0, 1};
-  BatchOptions bopts;
+  QueryOptions bopts;
   bopts.delta = 4;
-  const BatchSsspResult batch = batch_sssp(dev, g, sources, bopts);
+  const BatchSsspResult batch = eng.batch_sssp(sources, bopts);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     EXPECT_EQ(batch.dist_at(v, 0), oracle[v]) << "vertex " << v;
 }
@@ -172,13 +172,14 @@ TEST(Sssp, DeltaZeroFallsBackToPlainFrontier) {
   const Csr g = build_dataset("roadnet-s", /*shrink=*/5);
   ASSERT_EQ(sssp_auto_delta(g), 0u);
   simt::Device dev;
-  SsspOptions auto_opts;  // use_priority_queue = true, delta = 0
-  const SsspResult a = gunrock_sssp(dev, g, 0, auto_opts);
+  Engine eng(dev, g);
+  QueryOptions auto_opts;  // use_priority_queue = true, delta = 0
+  const SsspResult a = eng.sssp(0, auto_opts);
   EXPECT_EQ(a.pq_stats.splits, 0u);
   EXPECT_EQ(a.pq_stats.near_total + a.pq_stats.far_total, 0u);
-  SsspOptions off;
+  QueryOptions off;
   off.use_priority_queue = false;
-  const SsspResult b = gunrock_sssp(dev, g, 0, off);
+  const SsspResult b = eng.sssp(0, off);
   EXPECT_EQ(a.dist, b.dist);
   EXPECT_EQ(a.summary.iterations, b.summary.iterations);
 }
@@ -195,12 +196,12 @@ TEST(Sssp, AutoDeltaOnUniformWeightGraphs) {
     const Csr g = with_random_weights(base, /*seed=*/5, w, w);
     ASSERT_GT(sssp_auto_delta(g), 0u);
     const auto oracle = serial::dijkstra(g, 1);
-    const SsspResult r = gunrock_sssp(dev, g, 1);  // auto delta
+    const SsspResult r = Engine(dev, g).sssp(1);  // auto delta
     EXPECT_EQ(r.dist, oracle) << "uniform weight " << w;
     const VertexId sources[] = {1, 3, 1};
-    BatchOptions bopts;
+    QueryOptions bopts;
     bopts.delta = 8;  // small graph: force the per-lane schedule on
-    const BatchSsspResult batch = batch_sssp(dev, g, sources, bopts);
+    const BatchSsspResult batch = Engine(dev, g).batch_sssp(sources, bopts);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       EXPECT_EQ(batch.dist_at(v, 0), oracle[v])
           << "uniform weight " << w << " vertex " << v;
@@ -213,12 +214,13 @@ TEST(Sssp, AutoDeltaOnUniformWeightGraphs) {
 TEST(Sssp, NearFarReducesWorkOnRoadNetworks) {
   const Csr g = build_dataset("roadnet-s", /*shrink=*/3);
   simt::Device dev;
-  SsspOptions with_pq, without_pq;
+  Engine eng(dev, g);
+  QueryOptions with_pq, without_pq;
   with_pq.use_priority_queue = true;
   with_pq.delta = 64;  // force delta-stepping (auto policy would skip it)
   without_pq.use_priority_queue = false;
-  const auto a = gunrock_sssp(dev, g, 0, with_pq);
-  const auto b = gunrock_sssp(dev, g, 0, without_pq);
+  const auto a = eng.sssp(0, with_pq);
+  const auto b = eng.sssp(0, without_pq);
   // Delta-stepping's whole point: fewer wasted relaxations than the
   // Bellman-Ford-style frontier (Davidson et al.).
   EXPECT_LT(a.summary.edges_processed, b.summary.edges_processed);
