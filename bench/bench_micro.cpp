@@ -174,6 +174,32 @@ void BM_PagerankPowerLaw(benchmark::State& state) {
 }
 BENCHMARK(BM_PagerankPowerLaw)->Unit(benchmark::kMillisecond);
 
+// Single-source BC from the hub (vertex 0) on a warm Engine: host wall
+// time, simulated device time, and heap allocations per call
+// (acceptance: 0).
+void BM_BcPowerLaw(benchmark::State& state) {
+  const Csr& g = scale_free();
+  simt::Device dev;
+  Engine engine(dev, g);
+  BcResult r;
+  // Warm-up: the symmetry check, the pooled buffers, and the frontier
+  // buffers' capacities, which rotate between calls.
+  for (int i = 0; i < 3; ++i) engine.bc(0, r);
+  std::uint64_t allocs = 0, runs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    engine.bc(0, r);
+    allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
+    ++runs;
+    benchmark::DoNotOptimize(r.bc_values.data());
+  }
+  state.counters["sim_device_ms"] = r.summary.device_time_ms;
+  state.counters["allocs_per_run"] =
+      static_cast<double>(allocs) / static_cast<double>(runs ? runs : 1);
+}
+BENCHMARK(BM_BcPowerLaw)->Unit(benchmark::kMillisecond);
+
 void BM_FilterCompact(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   std::vector<std::uint32_t> in(n);

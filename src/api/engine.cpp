@@ -30,7 +30,7 @@ SsspResult Engine::sssp(VertexId source, const QueryOptions& opts) {
 void Engine::bc(VertexId source, BcResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
   bc_.set_cancel(opts.cancel);
-  bc_.enact(*g_, source, opts.to_bc(), out);
+  bc_.enact(*g_, in_edges(), source, opts.to_bc(), out);
 }
 BcResult Engine::bc(VertexId source, const QueryOptions& opts) {
   BcResult out;
@@ -202,8 +202,8 @@ void Engine::bc_batched(std::span<const VertexId> sources,
   EnactScope scope(*this);
   batch_.set_cancel(opts.cancel);
   bc_.set_cancel(opts.cancel);
-  bc_accumulate_batched(batch_, bc_, *g_, sources, opts.to_bc(), bc_fwd_,
-                        out);
+  bc_accumulate_batched(batch_, bc_, *g_, sources, opts.to_batch(),
+                        opts.to_bc(), bc_fwd_, out);
 }
 std::vector<double> Engine::bc_batched(std::span<const VertexId> sources,
                                        const QueryOptions& opts) {
@@ -216,8 +216,8 @@ void Engine::bc_sampled(std::uint32_t num_sources, std::uint64_t seed,
                         std::vector<double>& out, const QueryOptions& opts) {
   EnactScope scope(*this);
   bc_.set_cancel(opts.cancel);
-  bc_accumulate_sampled(bc_, *g_, num_sources, seed, opts.to_bc(), bc_tmp_,
-                        out);
+  bc_accumulate_sampled(bc_, *g_, in_edges(), num_sources, seed,
+                        opts.to_bc(), bc_tmp_, out);
 }
 std::vector<double> Engine::bc_sampled(std::uint32_t num_sources,
                                        std::uint64_t seed,

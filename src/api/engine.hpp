@@ -56,15 +56,16 @@ class Engine {
   /// valid only for symmetric (undirected) graphs, which the first such
   /// query verifies once (GRX_CHECK; cached, allocation-free on sorted
   /// neighbor lists). Directed graphs must use the transpose-supplying
-  /// constructor for them. PageRank gathers over `g` when it is symmetric
-  /// and otherwise over a transpose the engine builds once per binding.
+  /// constructor for them. PageRank and BC's pull rounds gather over `g`
+  /// when it is symmetric and otherwise over a transpose the engine builds
+  /// once per binding.
   Engine(simt::Device& dev, const Csr& g)
       : Engine(dev, g, g) {
     transpose_explicit_ = false;
   }
 
   /// As above with an explicit transpose for the primitives that gather
-  /// over reverse edges (PageRank, HITS, SALSA).
+  /// over reverse edges (PageRank, BC, HITS, SALSA).
   Engine(simt::Device& dev, const Csr& g, const Csr& transpose)
       : dev_(&dev),
         g_(&g),
@@ -183,8 +184,8 @@ class Engine {
                                         const QueryOptions& opts = {});
 
   /// Source-batched accumulated BC (lane-packed forward + per-source
-  /// backward sweeps); equals summing bc() over `sources` up to
-  /// floating-point association.
+  /// backward sweeps); byte-identical to summing bc() over `sources` in
+  /// order while every path count stays below 2^53 (exact double adds).
   void bc_batched(std::span<const VertexId> sources, std::vector<double>& out,
                   const QueryOptions& opts = {});
   std::vector<double> bc_batched(std::span<const VertexId> sources,
@@ -207,8 +208,9 @@ class Engine {
   /// cached until rebind.
   bool graph_symmetric();
 
-  /// The reverse edges PageRank gathers over: the explicit transpose, else
-  /// `g` itself when symmetric, else a transpose built once per binding.
+  /// The reverse edges PageRank and BC gather over: the explicit
+  /// transpose, else `g` itself when symmetric, else a transpose built once
+  /// per binding.
   const Csr& in_edges();
 
   /// RAII reentry guard taken by every query entry point: one atomic RMW

@@ -105,6 +105,8 @@ struct QueryOptions {
   BcOptions to_bc() const {
     BcOptions o;
     o.strategy = strategy;
+    o.pull_alpha = pull_alpha;
+    o.pull_beta = pull_beta;
     return o;
   }
 

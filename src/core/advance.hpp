@@ -72,7 +72,7 @@ struct AdvanceConfig {
   std::uint32_t twc_warp_threshold = 32;
   std::uint32_t twc_cta_threshold = 256;
   /// When false, accepted edges do not emit output-frontier entries (an
-  /// advance that only computes in place, as BC's dependency sweeps do).
+  /// advance that only computes in place).
   bool collect_outputs = true;
 };
 
@@ -81,6 +81,13 @@ struct AdvanceStats {
   std::uint64_t outputs = 0;          ///< items emitted before filtering
   bool used_pull = false;
   AdvanceStrategy used_strategy = AdvanceStrategy::kAuto;
+};
+
+/// Sticky state of Beamer's push/pull switch (detail::choose_pull), one per
+/// traversal.
+struct DirectionState {
+  bool pulling = false;
+  std::size_t prev_size = 0;  ///< frontier size at the previous decision
 };
 
 /// Reusable scratch across advance calls, owned by the primitive's enactor:
@@ -110,17 +117,14 @@ struct AdvanceWorkspace {
 
   simt::ChunkedOutput out;                 ///< two-phase assembly pools
   std::vector<std::uint32_t> lb_starts;    ///< LB sorted-search chunk rows
-  std::vector<std::uint64_t> warp_probes;  ///< pull probe counts per warp
+  /// Per-warp tallies: pull probe counts, neighbor_reduce's swept edges.
+  std::vector<std::uint64_t> warp_probes;
 
-  std::size_t prev_frontier_size = 0;
-  bool pulling = false;  ///< sticky direction state for kOptimal
+  DirectionState direction;  ///< sticky direction state for kOptimal
 
   /// Clears cross-enactment state (sticky direction); pooled buffer
   /// capacity is deliberately retained.
-  void begin_enact() {
-    pulling = false;
-    prev_frontier_size = 0;
-  }
+  void begin_enact() { direction = {}; }
 };
 
 namespace detail {
@@ -175,6 +179,30 @@ inline void prepare_frontier(simt::Device& dev, const Csr& g,
                   /*fused=*/true);
   ws.frontier_edges = ws.warp_bases[num_warps];
   ws.max_degree = max_deg;
+}
+
+/// Beamer's sticky push/pull switch (Section 4.5): pull once the frontier's
+/// edge volume m_f passes |E|/alpha, push again once the frontier is below
+/// |V|/beta and shrinking. Only the push->pull entry needs m_f: it runs the
+/// degree gather into `ws` and sets `prepared`, so the push that most
+/// likely follows reuses it. At most one gather is wasted per flip, and
+/// sticky-pull rounds (the big frontiers) never sweep degrees at all.
+inline bool choose_pull(simt::Device& dev, const Csr& g,
+                        const std::vector<std::uint32_t>& frontier,
+                        double alpha, double beta, DirectionState& state,
+                        AdvanceWorkspace& ws, bool& prepared) {
+  if (!state.pulling) {
+    prepare_frontier(dev, g, frontier, ws);
+    prepared = true;
+    state.pulling = static_cast<double>(ws.frontier_edges) >
+                    static_cast<double>(g.num_edges()) / alpha;
+  } else if (static_cast<double>(frontier.size()) <
+                 static_cast<double>(g.num_vertices()) / beta &&
+             frontier.size() < state.prev_size) {
+    state.pulling = false;
+  }
+  state.prev_size = frontier.size();
+  return state.pulling;
 }
 
 /// The kAuto hybrid rule (Section 4.4), read from prepare_frontier's degree
@@ -554,35 +582,12 @@ AdvanceStats advance(simt::Device& dev, const Csr& g, const Frontier& in,
   AdvanceStats stats;
   Direction dir = cfg.direction;
   bool prepared = false;
-  if (dir == Direction::kPush) {
-    // One degree gather serves the kAuto dispatch and the push strategies'
-    // chunk placement.
-    detail::prepare_frontier(dev, g, in.items(), ws);
-    prepared = true;
-  }
   if (dir == Direction::kOptimal) {
+    dir = Direction::kPush;
     if constexpr (PullableFunctor<F, P>) {
-      const double beta_cut =
-          static_cast<double>(g.num_vertices()) / cfg.pull_beta;
-      if (!ws.pulling) {
-        // The push->pull switch needs m_f; push is the likely outcome, so
-        // run the full gather now and reuse it for the push strategies —
-        // at most one gather is wasted per direction flip. The pull->push
-        // exit below uses only frontier sizes, so sticky-pull iterations
-        // (the big frontiers) never sweep degrees at all.
-        detail::prepare_frontier(dev, g, in.items(), ws);
-        prepared = true;
-        const double alpha_cut =
-            static_cast<double>(g.num_edges()) / cfg.pull_alpha;
-        if (static_cast<double>(ws.frontier_edges) > alpha_cut)
-          ws.pulling = true;
-      } else if (static_cast<double>(in.size()) < beta_cut &&
-                 in.size() < ws.prev_frontier_size) {
-        ws.pulling = false;
-      }
-      dir = ws.pulling ? Direction::kPull : Direction::kPush;
-    } else {
-      dir = Direction::kPush;
+      if (detail::choose_pull(dev, g, in.items(), cfg.pull_alpha,
+                              cfg.pull_beta, ws.direction, ws, prepared))
+        dir = Direction::kPull;
     }
   }
   if (dir == Direction::kPull) {
@@ -595,7 +600,6 @@ AdvanceStats advance(simt::Device& dev, const Csr& g, const Frontier& in,
     stats = advance_push<F>(dev, g, in.items(), out.items(), prob, cfg, ws,
                             prepared);
   }
-  ws.prev_frontier_size = in.size();
   return stats;
 }
 

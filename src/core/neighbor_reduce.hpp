@@ -45,25 +45,27 @@ namespace grx {
 /// `cfg.strategy` picks the mapping (kAuto: the advance's hybrid rule;
 /// kLoadBalanced: edge chunks; kTwc/kThreadFine: per-warp) and
 /// `cfg.lb_node_edge_threshold` is the frontier size below which LB stays
-/// per-warp, as in the advance. `ws` holds the degree gather, scan and
-/// chunk starts; `out` doubles as the carry pool (one tail slot per chunk
-/// during the call). Both keep their capacity, so callers that keep them
+/// per-warp, as in the advance. `ws` holds the degree gather, scan, chunk
+/// starts and per-warp edge tallies; `out` doubles as the carry pool (one
+/// tail slot per chunk during the call). Both keep their capacity, so callers that keep them
 /// alive across BSP iterations (as the primitives do) pay no steady-state
 /// allocations.
 ///
-/// `map(src, dst, e, prob) -> T`; `reduce(T, T) -> T`.
+/// `map(src, dst, e, prob) -> T`; `reduce(T, T) -> T`. Returns the edges
+/// swept: the frontier's total degree in `g`.
 template <typename T, typename P, typename MapFn, typename ReduceFn>
-void neighbor_reduce(simt::Device& dev, const Csr& g, const Frontier& in,
-                     std::vector<T>& out, P& prob, T init, MapFn&& map,
-                     ReduceFn&& reduce, const AdvanceConfig& cfg,
-                     AdvanceWorkspace& ws) {
+std::uint64_t neighbor_reduce(simt::Device& dev, const Csr& g,
+                              const Frontier& in, std::vector<T>& out,
+                              P& prob, T init, MapFn&& map,
+                              ReduceFn&& reduce, const AdvanceConfig& cfg,
+                              AdvanceWorkspace& ws) {
   using CM = simt::CostModel;
   GRX_CHECK(in.kind() == FrontierKind::kVertex);
   const auto& items = in.items();
   const std::size_t n = items.size();
   if (n == 0) {
     out.clear();
-    return;
+    return 0;
   }
 
   // Only a large frontier can take the edge-chunked mapping; only then is
@@ -84,6 +86,7 @@ void neighbor_reduce(simt::Device& dev, const Csr& g, const Frontier& in,
     // coalesced result write per segment.
     out.assign(n, init);
     const std::size_t num_warps = (n + CM::kWarpSize - 1) / CM::kWarpSize;
+    if (ws.warp_probes.size() < num_warps) ws.warp_probes.resize(num_warps);
     dev.for_each_warp("neighbor_reduce", num_warps, [&](simt::Warp& w) {
       const std::size_t base = w.id() * CM::kWarpSize;
       const std::size_t lanes = std::min<std::size_t>(CM::kWarpSize, n - base);
@@ -101,8 +104,11 @@ void neighbor_reduce(simt::Device& dev, const Csr& g, const Frontier& in,
       }
       w.bulk(edges, CM::kCoalesced);                   // edge sweep
       w.load_coalesced(static_cast<unsigned>(lanes));  // result write
+      ws.warp_probes[w.id()] = edges;
     });
-    return;
+    std::uint64_t swept = 0;
+    for (std::size_t w = 0; w < num_warps; ++w) swept += ws.warp_probes[w];
+    return swept;
   }
 
   // Edge-chunked: per-row edge ranks from the scan, chunk starts from the
@@ -147,6 +153,7 @@ void neighbor_reduce(simt::Device& dev, const Csr& g, const Frontier& in,
   dev.charge_pass("neighbor_reduce_fixup", num_chunks,
                   2 * CM::kCoalesced, /*fused=*/true);
   out.resize(n);
+  return total;
 }
 
 }  // namespace grx

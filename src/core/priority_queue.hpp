@@ -57,24 +57,27 @@ struct SplitWorkspace {
   simt::ChunkedOutput far_stage;
 };
 
-/// Splits `items` by `is_near(item)`: near items to `near` (replaced), the
-/// rest appended to `far`. Two-phase assembly like advance/filter: each
-/// warp stages its near/far picks compactly, a scan places the slices, so
-/// both piles preserve input order regardless of thread count. Charged as a
-/// scan + two scatters (a GPU split-compaction).
-template <typename Fn>
-void split_near_far(simt::Device& dev, const std::vector<std::uint32_t>& items,
+/// Splits `items` by `is_near(i, items[i])`: near items to `near`
+/// (replaced), the rest appended to `*far`, or dropped when `far` is null.
+/// `items` is any sized random-access range of ids (a vector, an iota view
+/// of all vertices). Two-phase assembly like advance/filter: each warp
+/// stages its near/far picks compactly, a scan places the slices, so both
+/// piles preserve input order regardless of thread count. Charged as a
+/// scan + one scatter per pile (a GPU split-compaction) under `name`.
+template <typename Items, typename Fn>
+void split_near_far(simt::Device& dev, const Items& items,
                     std::vector<std::uint32_t>& near,
-                    std::vector<std::uint32_t>& far, Fn&& is_near,
+                    std::vector<std::uint32_t>* far, Fn&& is_near,
                     SplitWorkspace& ws,
-                    PriorityQueueStats* stats = nullptr) {
+                    PriorityQueueStats* stats = nullptr,
+                    const char* name = "pq_split") {
   constexpr std::size_t kWarp = simt::CostModel::kWarpSize;
-  const std::size_t num_warps = (items.size() + kWarp - 1) / kWarp;
-  const std::size_t far_before = far.size();
+  const std::size_t n = items.size();
+  const std::size_t num_warps = (n + kWarp - 1) / kWarp;
+  const std::size_t far_before = far ? far->size() : 0;
   ws.near_stage.begin(num_warps, num_warps * kWarp);
-  ws.far_stage.begin(num_warps, num_warps * kWarp);
-  dev.for_each("pq_split", items.size(), [&](simt::Lane& lane,
-                                             std::size_t i) {
+  ws.far_stage.begin(num_warps, far ? num_warps * kWarp : 0);
+  dev.for_each(name, n, [&](simt::Lane& lane, std::size_t i) {
     const std::size_t warp = i / kWarp;
     if (i % kWarp == 0) {
       ws.near_stage.counts[warp] = 0;
@@ -83,18 +86,21 @@ void split_near_far(simt::Device& dev, const std::vector<std::uint32_t>& items,
     lane.load_coalesced();
     lane.alu();
     const std::uint32_t v = items[i];
-    auto& stage = is_near(v) ? ws.near_stage : ws.far_stage;
+    const bool hit = is_near(i, v);
+    if (!hit && !far) return;
+    auto& stage = hit ? ws.near_stage : ws.far_stage;
     stage.scratch[warp * kWarp + stage.counts[warp]++] = v;
   });
   simt::scatter_into(dev, ws.near_stage, num_warps, near,
                      [](std::size_t c) { return c * kWarp; });
-  simt::scatter_into(dev, ws.far_stage, num_warps, far,
-                     [](std::size_t c) { return c * kWarp; },
-                     /*keep_prefix=*/far_before);
+  if (far)
+    simt::scatter_into(dev, ws.far_stage, num_warps, *far,
+                       [](std::size_t c) { return c * kWarp; },
+                       /*keep_prefix=*/far_before);
   if (stats) {
     stats->splits++;
     stats->near_total += near.size();
-    stats->far_total += far.size() - far_before;
+    stats->far_total += far ? far->size() - far_before : 0;
   }
 }
 
@@ -132,9 +138,9 @@ class PriorityFrontier {
   void split(simt::Device& dev, const std::vector<std::uint32_t>& items,
              std::vector<std::uint32_t>& near, PriorityFn&& priority) {
     split_near_far(
-        dev, items, near, far_,
-        [&](std::uint32_t v) { return priority(v) < cutoff_; }, ws_,
-        &stats_);
+        dev, items, near, &far_,
+        [&](std::size_t, std::uint32_t v) { return priority(v) < cutoff_; },
+        ws_, &stats_);
   }
 
   /// Near pile drained: advance the priority level (cutoff += delta per
@@ -146,9 +152,9 @@ class PriorityFrontier {
     while (near.empty() && !far_.empty()) {
       cutoff_ += delta_;
       split_near_far(
-          dev, far_, near, still_far_,
-          [&](std::uint32_t v) { return priority(v) < cutoff_; }, ws_,
-          &stats_);
+          dev, far_, near, &still_far_,
+          [&](std::size_t, std::uint32_t v) { return priority(v) < cutoff_; },
+          ws_, &stats_);
       far_.swap(still_far_);
       still_far_.clear();
     }

@@ -133,19 +133,21 @@ class OpContext {
   /// transpose). `out` is caller-pooled; the degree gather, scan and chunk
   /// starts of the edge-chunked mapping live in the advance workspace.
   /// `cfg` supplies the mapping strategy and the LB node/edge threshold.
+  /// Returns the edges swept.
   template <typename T, typename P, typename MapFn, typename ReduceFn>
-  void neighbor_reduce(const Csr& g, std::vector<T>& out, P& prob, T init,
-                       MapFn&& map, ReduceFn&& reduce,
-                       const AdvanceConfig& cfg = {}) {
-    grx::neighbor_reduce<T>(dev_, g, in_, out, prob, init,
-                            std::forward<MapFn>(map),
-                            std::forward<ReduceFn>(reduce), cfg, advance_ws_);
+  std::uint64_t neighbor_reduce(const Csr& g, std::vector<T>& out, P& prob,
+                                T init, MapFn&& map, ReduceFn&& reduce,
+                                const AdvanceConfig& cfg = {}) {
+    return grx::neighbor_reduce<T>(dev_, g, in_, out, prob, init,
+                                   std::forward<MapFn>(map),
+                                   std::forward<ReduceFn>(reduce), cfg,
+                                   advance_ws_);
   }
   template <typename T, typename P, typename MapFn, typename ReduceFn>
-  void neighbor_reduce(std::vector<T>& out, P& prob, T init, MapFn&& map,
-                       ReduceFn&& reduce) {
-    neighbor_reduce<T>(g_, out, prob, init, std::forward<MapFn>(map),
-                       std::forward<ReduceFn>(reduce));
+  std::uint64_t neighbor_reduce(std::vector<T>& out, P& prob, T init,
+                                MapFn&& map, ReduceFn&& reduce) {
+    return neighbor_reduce<T>(g_, out, prob, init, std::forward<MapFn>(map),
+                              std::forward<ReduceFn>(reduce));
   }
 
  private:

@@ -431,52 +431,6 @@ std::uint64_t batch_pull_step(simt::Device& dev, const Csr& g,
   return probes;
 }
 
-/// Beamer-style sticky direction state for the batched BFS-like loops:
-/// switch to pull when the union frontier's edge volume crosses |E|/alpha,
-/// back to push when the frontier is small and shrinking. Thresholds come
-/// from BatchOptions (same defaults as AdvanceConfig's single-query
-/// switch).
-struct BatchDirection {
-  double alpha = 14.0;
-  double beta = 24.0;
-  bool pulling = false;
-  std::size_t prev_size = 0;
-
-  explicit BatchDirection(const BatchOptions& opts)
-      : alpha(opts.pull_alpha), beta(opts.pull_beta) {}
-
-  /// Decides this iteration's direction. The push->pull entry check needs
-  /// the frontier's edge volume, so it runs the full degree gather through
-  /// the shared advance workspace and reports `frontier_prepared` — the
-  /// following push advance then reuses it instead of re-sweeping (the
-  /// batch analog of the single-query kOptimal sharing: at most one gather
-  /// is wasted per direction flip, and sticky-pull iterations — the
-  /// saturated big-frontier phase — never sweep degrees at all).
-  bool choose_pull(simt::Device& dev, const Csr& g,
-                   const std::vector<std::uint32_t>& frontier,
-                   Direction requested, AdvanceWorkspace& ws,
-                   bool& frontier_prepared) {
-    frontier_prepared = false;
-    if (requested == Direction::kPush) return false;
-    if (requested == Direction::kPull) return true;
-    if (pulling) {
-      // The pull->push exit reads only frontier sizes.
-      if (static_cast<double>(frontier.size()) <
-              static_cast<double>(g.num_vertices()) / beta &&
-          frontier.size() < prev_size) {
-        pulling = false;
-      }
-      return pulling;
-    }
-    detail::prepare_frontier(dev, g, frontier, ws);
-    frontier_prepared = true;
-    if (static_cast<double>(ws.frontier_edges) >
-        static_cast<double>(g.num_edges()) / alpha)
-      pulling = true;
-    return pulling;
-  }
-};
-
 /// Every batched primitive drives the same advance configuration:
 /// commutative lane updates need no per-edge claim (exact dedup lives in
 /// the filter), and strategy/LB knobs pass straight through — except the
@@ -618,15 +572,18 @@ std::uint64_t BatchEnactor::traverse_lanes(const Csr& g,
     pull_live_[live_words - 1] = (1ull << rem) - 1;
 
   std::uint64_t edges = 0;
-  BatchDirection dir(opts);
+  DirectionState dir;
   while (!in_.empty()) {
     // Cooperative stop point (deadline / cancel / fault hook), between
     // lane-matrix rounds — the batch analog of run_program's checkpoint.
     check_cancel(static_cast<std::uint32_t>(log_.size()));
     GRX_CHECK(log_.size() < kMaxIterations);
     bool prepared = false;
-    const bool pull = dir.choose_pull(dev_, g, in_.items(), opts.direction,
-                                      advance_ws_, prepared);
+    const bool pull =
+        opts.direction == Direction::kPull ||
+        (opts.direction == Direction::kOptimal &&
+         detail::choose_pull(dev_, g, in_.items(), opts.pull_alpha,
+                             opts.pull_beta, dir, advance_ws_, prepared));
     std::uint64_t iter_edges;
     const std::uint32_t next_depth = p.iteration + 1;
     if (pull) {
@@ -644,7 +601,6 @@ std::uint64_t BatchEnactor::traverse_lanes(const Csr& g,
                  num_lanes, next_depth, vb);
     }
     edges += iter_edges;
-    dir.prev_size = in_.size();
     finish_round(p, iter_edges, pull);
   }
   return edges;

@@ -55,18 +55,12 @@ struct PrProgram {
     const Csr& g = c.graph();
     const auto n = g.num_vertices();
     // gathered[i] = sum of contrib[u] over the in-edges (u -> v_i).
-    c.neighbor_reduce<double>(
+    const std::uint64_t edges = c.neighbor_reduce<double>(
         gT, p.gathered, p, 0.0,
         [](VertexId, VertexId u, EdgeId, PrProblem& prob) {
           return prob.contrib[u];
         },
         [](double a, double b) { return a + b; }, cfg);
-    // A full frontier sweeps every in-edge; a pruned one, its own.
-    std::uint64_t edges = gT.num_edges();
-    if (c.frontier().size() != n) {
-      edges = 0;
-      for (std::uint32_t v : c.frontier().items()) edges += gT.degree(v);
-    }
 
     // Dangling mass: vertices with no out-edges spread uniformly.
     double dangling = 0.0;

@@ -158,6 +158,28 @@ TEST(Batch, BcBatchedMatchesPerSourceSum) {
   EXPECT_TRUE(testing::near_vectors(batched, ref, 1e-6));
 }
 
+TEST(Batch, BcBatchedHonorsBackend) {
+  // The lane-packed forward pass runs on the caller's backend; bytes are
+  // backend-independent.
+  const Csr g = testing::undirected(rmat(9, 12, 7));
+  const auto sources = pick_sources(g, 5);
+  QueryOptions scalar;
+  scalar.backend.vec = simt::VecBackend::kScalar;
+  simt::Device dev;
+  Engine eng(dev, g);
+  const std::vector<double> ref = eng.bc_batched(sources);
+  EXPECT_EQ(eng.bc_batched(sources, scalar), ref);
+
+  BatchEnactor batch(dev);
+  BcEnactor back(dev);
+  BatchBcForwardResult fwd;
+  std::vector<double> out;
+  bc_accumulate_batched(batch, back, g, sources, scalar.to_batch(),
+                        scalar.to_bc(), fwd, out);
+  EXPECT_EQ(fwd.backend, simt::VecBackend::kScalar);
+  EXPECT_EQ(out, ref);
+}
+
 TEST(Batch, SsspLaneStatsSurfaceThroughResult) {
   // Per-lane near/far schedule counters ride BatchSsspResult: sized B with
   // real work recorded when the schedule runs, absent when it is off —

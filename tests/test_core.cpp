@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ranges>
 #include <set>
 
 #include "core/advance.hpp"
@@ -238,8 +239,9 @@ TEST(PriorityQueue, SplitsByPredicate) {
   std::vector<std::uint32_t> near, far;
   PriorityQueueStats stats;
   SplitWorkspace ws;
-  split_near_far(dev, items, near, far,
-                 [](std::uint32_t v) { return v < 4; }, ws, &stats);
+  split_near_far(dev, items, near, &far,
+                 [](std::size_t, std::uint32_t v) { return v < 4; }, ws,
+                 &stats);
   std::sort(near.begin(), near.end());
   std::sort(far.begin(), far.end());
   EXPECT_EQ(near, (std::vector<std::uint32_t>{1, 2, 3}));
@@ -252,9 +254,24 @@ TEST(PriorityQueue, FarAppends) {
   std::vector<std::uint32_t> far{99};
   std::vector<std::uint32_t> near;
   SplitWorkspace ws;
-  split_near_far(dev, std::vector<std::uint32_t>{1, 9}, near, far,
-                 [](std::uint32_t v) { return v < 4; }, ws);
+  split_near_far(dev, std::vector<std::uint32_t>{1, 9}, near, &far,
+                 [](std::size_t, std::uint32_t v) { return v < 4; }, ws);
   EXPECT_EQ(far.size(), 2u);  // 99 kept, 9 appended
+}
+
+TEST(PriorityQueue, NullFarCompactsByPosition) {
+  simt::Device dev;
+  std::vector<std::uint32_t> near;
+  SplitWorkspace ws;
+  // The predicate sees each item's position; misses are dropped.
+  split_near_far(dev, std::views::iota(0u, 100u), near, nullptr,
+                 [](std::size_t i, std::uint32_t v) {
+                   return i == v && v % 7 == 0;
+                 },
+                 ws);
+  std::vector<std::uint32_t> want;
+  for (std::uint32_t v = 0; v < 100; v += 7) want.push_back(v);
+  EXPECT_EQ(near, want);
 }
 
 TEST(Compute, RunsOnEveryElement) {

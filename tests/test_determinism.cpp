@@ -255,7 +255,9 @@ TEST(Determinism, SplitNearFarPreservesInputOrder) {
     simt::Device dev;
     std::vector<std::uint32_t> near, far{777u};
     SplitWorkspace ws;
-    split_near_far(dev, items, near, far, is_near, ws);
+    split_near_far(
+        dev, items, near, &far,
+        [&](std::size_t, std::uint32_t v) { return is_near(v); }, ws);
     EXPECT_EQ(near, ref_near) << threads << " threads";
     EXPECT_EQ(far, ref_far) << threads << " threads";
   }
@@ -652,6 +654,53 @@ TEST(Determinism, PagerankIdenticalAcrossThreadCounts) {
           << threads << " threads";
       EXPECT_EQ(r.summary.iterations, ref.summary.iterations);
       EXPECT_TRUE(same_log(log, ref_log)) << threads << " threads";
+    }
+  }
+}
+
+TEST(Determinism, BcIdenticalAcrossThreadCounts) {
+  // rmat-15: big rows split across the edge chunks of both gathers (the
+  // pull rounds' in-edge sums and the backward dependency folds). From the
+  // hub and from a low-degree source.
+  const Csr g = testing::undirected(rmat(15, 16, 5));
+  VertexId hub = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    if (g.degree(v) > g.degree(hub)) hub = v;
+  VertexId leaf = 0;
+  while (g.degree(leaf) == 0 || g.degree(leaf) > 2) ++leaf;
+  ThreadRestorer restore;
+  for (const VertexId src : {hub, leaf}) {
+    auto run = [&](std::vector<simt::KernelStats>& log) {
+      simt::Device dev;
+      dev.set_profiling(true);
+      const BcResult r = Engine(dev, g).bc(src);
+      log = dev.kernel_log();
+      return r;
+    };
+    omp_set_num_threads(1);
+    std::vector<simt::KernelStats> log;
+    const BcResult ref = run(log);
+    ASSERT_TRUE(std::any_of(log.begin(), log.end(), [](const auto& k) {
+      return k.name == "neighbor_reduce_lb";
+    })) << "source " << src;
+    ASSERT_TRUE(std::any_of(
+        ref.summary.per_iteration.begin(), ref.summary.per_iteration.end(),
+        [](const IterationStats& s) { return s.used_pull; }))
+        << "source " << src;
+    ASSERT_GT(ref.summary.iterations, 3u) << "source " << src;
+    for (int threads : {2, 4, 8}) {
+      omp_set_num_threads(threads);
+      const BcResult r = run(log);
+      EXPECT_TRUE(same_bytes(r.bc_values, ref.bc_values))
+          << "source " << src << ", " << threads << " threads";
+      EXPECT_TRUE(same_bytes(r.sigma, ref.sigma))
+          << "source " << src << ", " << threads << " threads";
+      EXPECT_EQ(r.depth, ref.depth)
+          << "source " << src << ", " << threads << " threads";
+      EXPECT_EQ(r.summary.iterations, ref.summary.iterations)
+          << "source " << src << ", " << threads << " threads";
+      EXPECT_EQ(r.summary.edges_processed, ref.summary.edges_processed)
+          << "source " << src << ", " << threads << " threads";
     }
   }
 }

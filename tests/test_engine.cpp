@@ -74,12 +74,12 @@ void dirty_every_pool(Engine& eng, bool symmetric) {
   (void)eng.salsa(q);
   (void)eng.batch_bfs(lanes, q);
   (void)eng.batch_reachability(lanes, q);
+  (void)eng.bc(other, q);
   if (!symmetric) return;
   q.direction = Direction::kOptimal;
   q.delta = 4;
   (void)eng.bfs(other, q);
   (void)eng.sssp(other, q);
-  (void)eng.bc(other, q);
   (void)eng.cc(q);
   (void)eng.coloring(q);
   (void)eng.mis(q);
@@ -250,6 +250,16 @@ TEST(EngineParity, DirectedGraphsRequireExplicitTranspose) {
   EXPECT_EQ(wpr.rank, fpr.rank);
   expect_same_summary(wpr.summary, fpr.summary);
   EXPECT_EQ(bare.pagerank().rank, fpr.rank);
+
+  // BC pulls over in-edges too: the supplied transpose and the one the
+  // single-graph engine builds give the same bytes.
+  const BcResult wbc = warm.bc(kSrc);
+  const BcResult fbc = Engine(fdev, g, gT).bc(kSrc);
+  EXPECT_EQ(wbc.bc_values, fbc.bc_values);
+  EXPECT_EQ(wbc.sigma, fbc.sigma);
+  EXPECT_EQ(wbc.depth, fbc.depth);
+  expect_same_summary(wbc.summary, fbc.summary);
+  EXPECT_EQ(bare.bc(kSrc).bc_values, fbc.bc_values);
 }
 
 // --- 2. steady-state allocation freedom -------------------------------------
@@ -309,6 +319,11 @@ TEST(EngineSteadyState, BcAllocFree) {
   eng.bc(kSrc, r);
   EXPECT_EQ(max_allocations_per_enact([&] { eng.bc(kSrc, r); }), 0u);
   EXPECT_FALSE(r.bc_values.empty());
+  // The pull rounds' candidate lists and gather output must be among the
+  // pools measured: at least one forward round pulled.
+  EXPECT_TRUE(std::any_of(r.summary.per_iteration.begin(),
+                          r.summary.per_iteration.end(),
+                          [](const IterationStats& s) { return s.used_pull; }));
 }
 
 TEST(EngineSteadyState, CcAllocFree) {
