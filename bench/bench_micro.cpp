@@ -200,6 +200,47 @@ void BM_BcPowerLaw(benchmark::State& state) {
 }
 BENCHMARK(BM_BcPowerLaw)->Unit(benchmark::kMillisecond);
 
+// Single-source SSSP from vertex 0 on a warm Engine over the bench graph
+// with random [1, 64] weights drawn per arc (so w(u,v) != w(v,u) and the
+// pull rounds fold over the engine-built weighted transpose): host wall
+// time, simulated device time, and heap allocations per call
+// (acceptance: 0). BM_SsspPowerLaw takes the default push/pull switch;
+// BM_SsspPowerLawPush forces push (pull_alpha ~ 0), the atomicMin
+// relaxation of every round.
+void run_sssp_power_law(benchmark::State& state, const QueryOptions& opts) {
+  static const Csr g = with_random_weights(scale_free(), /*seed=*/7);
+  simt::Device dev;
+  Engine engine(dev, g);
+  SsspResult r;
+  // Warm-up: the in-edge resolution (symmetry checks, the transpose) and
+  // the pooled buffers and frontier capacities.
+  for (int i = 0; i < 3; ++i) engine.sssp(0, r, opts);
+  std::uint64_t allocs = 0, runs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    engine.sssp(0, r, opts);
+    allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
+    ++runs;
+    benchmark::DoNotOptimize(r.dist.data());
+  }
+  state.counters["sim_device_ms"] = r.summary.device_time_ms;
+  state.counters["allocs_per_run"] =
+      static_cast<double>(allocs) / static_cast<double>(runs ? runs : 1);
+}
+
+void BM_SsspPowerLaw(benchmark::State& state) {
+  run_sssp_power_law(state, QueryOptions{});
+}
+BENCHMARK(BM_SsspPowerLaw)->Unit(benchmark::kMillisecond);
+
+void BM_SsspPowerLawPush(benchmark::State& state) {
+  QueryOptions push_only;
+  push_only.pull_alpha = 1e-9;
+  run_sssp_power_law(state, push_only);
+}
+BENCHMARK(BM_SsspPowerLawPush)->Unit(benchmark::kMillisecond);
+
 void BM_FilterCompact(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   std::vector<std::uint32_t> in(n);

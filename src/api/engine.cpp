@@ -19,7 +19,7 @@ void Engine::sssp(VertexId source, SsspResult& out,
                   const QueryOptions& opts) {
   EnactScope scope(*this);
   sssp_.set_cancel(opts.cancel);
-  sssp_.enact(*g_, source, opts.to_sssp(), out);
+  sssp_.enact(*g_, weighted_in_edges(), source, opts.to_sssp(), out);
 }
 SsspResult Engine::sssp(VertexId source, const QueryOptions& opts) {
   SsspResult out;
@@ -101,11 +101,30 @@ bool Engine::graph_symmetric() {
   return symmetry_ == Symmetry::kYes;
 }
 
+bool Engine::weights_symmetric() {
+  if (weight_symmetry_ == Symmetry::kUnknown)
+    weight_symmetry_ =
+        has_symmetric_weights(*g_) ? Symmetry::kYes : Symmetry::kNo;
+  return weight_symmetry_ == Symmetry::kYes;
+}
+
+const Csr& Engine::owned_transpose() {
+  if (!owned_transpose_) owned_transpose_ = grx::transpose(*g_);
+  return *owned_transpose_;
+}
+
 const Csr& Engine::in_edges() {
   if (transpose_explicit_) return *gT_;
   if (graph_symmetric()) return *g_;
-  if (!owned_transpose_) owned_transpose_ = grx::transpose(*g_);
-  return *owned_transpose_;
+  return owned_transpose();
+}
+
+const Csr& Engine::weighted_in_edges() {
+  if (transpose_explicit_ &&
+      (!gT_->weights().empty() || g_->weights().empty()))
+    return *gT_;
+  if (weights_symmetric()) return *g_;
+  return owned_transpose();
 }
 
 void Engine::require_transpose() {

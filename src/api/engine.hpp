@@ -58,14 +58,20 @@ class Engine {
   /// neighbor lists). Directed graphs must use the transpose-supplying
   /// constructor for them. PageRank and BC's pull rounds gather over `g`
   /// when it is symmetric and otherwise over a transpose the engine builds
-  /// once per binding.
+  /// once per binding; SSSP's pull rounds need *weighted* in-edges, so they
+  /// read `g` only when its weights are symmetric too and otherwise that
+  /// same engine-built transpose (it copies weights).
   Engine(simt::Device& dev, const Csr& g)
       : Engine(dev, g, g) {
     transpose_explicit_ = false;
   }
 
   /// As above with an explicit transpose for the primitives that gather
-  /// over reverse edges (PageRank, BC, HITS, SALSA).
+  /// over reverse edges (PageRank, BC, SSSP, HITS, SALSA). SSSP uses it
+  /// only when it carries weights or `g` carries none; an unweighted
+  /// transpose of a weighted `g` would make SSSP's pull rounds relax hop
+  /// counts, so SSSP then resolves its in-edges as the single-graph
+  /// constructor does.
   Engine(simt::Device& dev, const Csr& g, const Csr& transpose)
       : dev_(&dev),
         g_(&g),
@@ -93,7 +99,7 @@ class Engine {
   /// a server worker points its pooled engine at a newer DynamicGraph
   /// snapshot without rebuilding enactors. Pooled state is retained
   /// (buffers re-size per enact, so only a grown edge count allocates);
-  /// the symmetry cache and any engine-built transpose are dropped, and
+  /// the symmetry caches and any engine-built transpose are dropped, and
   /// HITS/SALSA again treat the graph as its own transpose until
   /// rebind(g, transpose) supplies one. Requires
   /// no query in flight (throws CheckError otherwise). The new graph is
@@ -109,6 +115,7 @@ class Engine {
     gT_ = &transpose;
     transpose_explicit_ = true;
     symmetry_ = Symmetry::kUnknown;
+    weight_symmetry_ = Symmetry::kUnknown;
     owned_transpose_.reset();
   }
 
@@ -208,10 +215,22 @@ class Engine {
   /// cached until rebind.
   bool graph_symmetric();
 
+  /// has_symmetric_weights(graph()), computed at the first query that
+  /// needs it and cached until rebind.
+  bool weights_symmetric();
+
   /// The reverse edges PageRank and BC gather over: the explicit
-  /// transpose, else `g` itself when symmetric, else a transpose built once
-  /// per binding.
+  /// transpose, else `g` itself when symmetric, else owned_transpose().
   const Csr& in_edges();
+
+  /// The weighted reverse edges SSSP's pull rounds fold over: the explicit
+  /// transpose when it carries weights (or `g` carries none), else `g`
+  /// when its weights are symmetric, else owned_transpose().
+  const Csr& weighted_in_edges();
+
+  /// transpose(graph()) with weights, built at the first query that needs
+  /// it and shared by in_edges() and weighted_in_edges() until rebind.
+  const Csr& owned_transpose();
 
   /// RAII reentry guard taken by every query entry point: one atomic RMW
   /// per query (noise next to an enactment), always on — concurrent entry
@@ -255,7 +274,8 @@ class Engine {
   bool transpose_explicit_ = true;
   enum class Symmetry : std::uint8_t { kUnknown, kYes, kNo };
   Symmetry symmetry_ = Symmetry::kUnknown;
-  std::optional<Csr> owned_transpose_;  ///< in_edges() of a directed g
+  Symmetry weight_symmetry_ = Symmetry::kUnknown;
+  std::optional<Csr> owned_transpose_;  ///< see owned_transpose()
 
   // One persistent enactor per primitive: each owns its Problem buffers
   // and shares the operator-workspace pooling of EnactorBase.

@@ -99,6 +99,8 @@ struct QueryOptions {
     o.strategy = strategy;
     o.use_priority_queue = use_priority_queue;
     o.delta = delta;
+    o.pull_alpha = pull_alpha;
+    o.pull_beta = pull_beta;
     return o;
   }
 

@@ -71,9 +71,6 @@ struct AdvanceConfig {
   /// TWC size-class boundaries (paper Figure 4: 32 and 256).
   std::uint32_t twc_warp_threshold = 32;
   std::uint32_t twc_cta_threshold = 256;
-  /// When false, accepted edges do not emit output-frontier entries (an
-  /// advance that only computes in place).
-  bool collect_outputs = true;
 };
 
 struct AdvanceStats {
@@ -205,6 +202,26 @@ inline bool choose_pull(simt::Device& dev, const Csr& g,
   return state.pulling;
 }
 
+/// Makes ws.bitmap hold exactly the frontier `in` (the pull directions'
+/// membership test). Incremental: clears only the bits the previous
+/// frontier set (tracked in ws.bitmap_frontier) instead of wiping all |V|
+/// words, then sets the current frontier's bits. Single writer, so the bit
+/// ops are plain load/or/store — no locked RMWs.
+inline void mark_frontier(simt::Device& dev, VertexId num_vertices,
+                          const std::vector<std::uint32_t>& in,
+                          AdvanceWorkspace& ws) {
+  if (ws.bitmap.size() != num_vertices) {
+    ws.bitmap.resize(num_vertices);  // fresh bitmaps come zeroed
+    ws.bitmap_frontier.clear();
+  }
+  for (std::uint32_t v : ws.bitmap_frontier) ws.bitmap.reset_unsync(v);
+  const std::size_t stale = ws.bitmap_frontier.size();
+  for (std::uint32_t v : in) ws.bitmap.set_unsync(v);
+  ws.bitmap_frontier.assign(in.begin(), in.end());
+  dev.charge_pass("frontier_bitmap", stale + in.size(),
+                  simt::CostModel::kScattered);
+}
+
 /// The kAuto hybrid rule (Section 4.4), read from prepare_frontier's degree
 /// gather: skewed frontiers -> LB partitioning; evenly-distributed small
 /// degrees -> fine-grained dynamic grouping (TWC). Exact max/avg, no
@@ -228,12 +245,11 @@ inline AdvanceStrategy resolve_strategy(AdvanceStrategy s,
 template <typename F, typename P>
 inline std::uint32_t process_edge(const Csr& g, VertexId src, EdgeId e,
                                   P& prob, std::uint32_t* chunk_scratch,
-                                  std::uint32_t count, bool collect) {
+                                  std::uint32_t count) {
   const VertexId dst = g.col_index(e);
   if (F::cond_edge(src, dst, e, prob)) {
     F::apply_edge(src, dst, e, prob);
-    if (collect) chunk_scratch[count] = dst;
-    ++count;
+    chunk_scratch[count++] = dst;
   }
   return count;
 }
@@ -254,8 +270,7 @@ AdvanceStats advance_thread_fine(simt::Device& dev, const Csr& g,
   stats.used_strategy = AdvanceStrategy::kThreadFine;
   if (!frontier_prepared) detail::prepare_frontier(dev, g, in, ws);
   const std::size_t num_warps = (in.size() + CM::kWarpSize - 1) / CM::kWarpSize;
-  const bool collect = cfg.collect_outputs;
-  ws.out.begin(num_warps, collect ? ws.frontier_edges : 0);
+  ws.out.begin(num_warps, ws.frontier_edges);
   // Each lane owns one neighbor list; the warp serializes to its longest
   // (max), idle lanes burn slots; each edge is a scattered access;
   // non-idempotent ops add an atomic claim per edge. Work and cost
@@ -266,8 +281,7 @@ AdvanceStats advance_thread_fine(simt::Device& dev, const Csr& g,
     const std::size_t base = w.id() * CM::kWarpSize;
     const std::size_t lanes =
         std::min<std::size_t>(CM::kWarpSize, in.size() - base);
-    std::uint32_t* scratch =
-        collect ? ws.out.scratch.data() + ws.warp_bases[w.id()] : nullptr;
+    std::uint32_t* scratch = ws.out.scratch.data() + ws.warp_bases[w.id()];
     std::uint32_t n_out = 0;
     std::uint64_t max_d = 0, sum_d = 0;
     for (std::size_t l = 0; l < lanes; ++l) {
@@ -277,19 +291,14 @@ AdvanceStats advance_thread_fine(simt::Device& dev, const Csr& g,
       sum_d += d;
       const EdgeId end = g.row_end(v);
       for (EdgeId e = g.row_start(v); e < end; ++e)
-        n_out = detail::process_edge<F>(g, v, e, prob, scratch, n_out,
-                                        collect);
+        n_out = detail::process_edge<F>(g, v, e, prob, scratch, n_out);
     }
-    ws.out.counts[w.id()] = collect ? n_out : 0;
+    ws.out.counts[w.id()] = n_out;
     w.load_coalesced(static_cast<unsigned>(lanes));  // offset loads
     w.charge(max_d * per_edge, sum_d * per_edge);
   });
-  if (collect) {
-    simt::scatter_into(dev, ws.out, num_warps, out,
-                       [&](std::size_t c) { return ws.warp_bases[c]; });
-  } else {
-    out.clear();
-  }
+  simt::scatter_into(dev, ws.out, num_warps, out,
+                     [&](std::size_t c) { return ws.warp_bases[c]; });
   stats.edges_processed = ws.frontier_edges;
   stats.outputs = out.size();
   return stats;
@@ -308,8 +317,7 @@ AdvanceStats advance_twc(simt::Device& dev, const Csr& g,
   stats.used_strategy = AdvanceStrategy::kTwc;
   if (!frontier_prepared) detail::prepare_frontier(dev, g, in, ws);
   const std::size_t num_warps = (in.size() + CM::kWarpSize - 1) / CM::kWarpSize;
-  const bool collect = cfg.collect_outputs;
-  ws.out.begin(num_warps, collect ? ws.frontier_edges : 0);
+  ws.out.begin(num_warps, ws.frontier_edges);
   const std::uint64_t atomic_extra = cfg.idempotent ? 0 : CM::kAtomic;
 
   // Real work and cost accounting fused: the warp program does both.
@@ -317,8 +325,7 @@ AdvanceStats advance_twc(simt::Device& dev, const Csr& g,
     const std::size_t base = w.id() * CM::kWarpSize;
     const std::size_t lanes =
         std::min<std::size_t>(CM::kWarpSize, in.size() - base);
-    std::uint32_t* scratch =
-        collect ? ws.out.scratch.data() + ws.warp_bases[w.id()] : nullptr;
+    std::uint32_t* scratch = ws.out.scratch.data() + ws.warp_bases[w.id()];
     std::uint32_t n_out = 0;
     w.load_coalesced(static_cast<unsigned>(lanes));  // stage offsets
     w.alu(static_cast<unsigned>(lanes));             // size classification
@@ -330,8 +337,7 @@ AdvanceStats advance_twc(simt::Device& dev, const Csr& g,
       // Host side: process the list now regardless of class.
       const EdgeId end = g.row_end(v);
       for (EdgeId e = g.row_start(v); e < end; ++e)
-        n_out = detail::process_edge<F>(g, v, e, prob, scratch, n_out,
-                                        collect);
+        n_out = detail::process_edge<F>(g, v, e, prob, scratch, n_out);
       // Device side: charge by class.
       if (d > cfg.twc_cta_threshold) {
         // CTA-cooperative: coalesced, but the whole list streams through a
@@ -355,14 +361,10 @@ AdvanceStats advance_twc(simt::Device& dev, const Csr& g,
     // staged through shared memory, so per-edge cost stays near-coalesced.
     const std::uint64_t per_edge = CM::kCoalesced + atomic_extra;
     w.charge(small_max * per_edge, small_sum * per_edge);
-    ws.out.counts[w.id()] = collect ? n_out : 0;
+    ws.out.counts[w.id()] = n_out;
   });
-  if (collect) {
-    simt::scatter_into(dev, ws.out, num_warps, out,
-                       [&](std::size_t c) { return ws.warp_bases[c]; });
-  } else {
-    out.clear();
-  }
+  simt::scatter_into(dev, ws.out, num_warps, out,
+                     [&](std::size_t c) { return ws.warp_bases[c]; });
   stats.edges_processed = ws.frontier_edges;
   stats.outputs = out.size();
   return stats;
@@ -390,7 +392,6 @@ AdvanceStats advance_load_balanced(simt::Device& dev, const Csr& g,
   const bool over_edges = in.size() >= cfg.lb_node_edge_threshold;
   const std::uint64_t atomic_extra = cfg.idempotent ? 0 : CM::kAtomic;
   const std::uint64_t per_edge = CM::kCoalesced + CM::kAlu + atomic_extra;
-  const bool collect = cfg.collect_outputs;
 
   if (over_edges) {
     // Equal chunks of *edges* per CTA; neighbor lists may split. A sorted
@@ -404,33 +405,32 @@ AdvanceStats advance_load_balanced(simt::Device& dev, const Csr& g,
     const std::uint64_t chunk = CM::kCtaSize;
     simt::sorted_search_chunks(dev, ws.offsets, chunk, ws.lb_starts);
     const std::size_t num_chunks = ws.lb_starts.size();
-    ws.out.begin(num_chunks, collect ? total_work : 0);
+    ws.out.begin(num_chunks, total_work);
     dev.for_each_warp("advance_lb_edges", num_chunks, [&](simt::Warp& w) {
       const std::uint64_t lo = w.id() * chunk;
       const std::uint64_t hi = std::min<std::uint64_t>(lo + chunk, total_work);
       std::uint32_t row = ws.lb_starts[w.id()];
-      std::uint32_t* scratch =
-          collect ? ws.out.scratch.data() + lo : nullptr;
+      std::uint32_t* scratch = ws.out.scratch.data() + lo;
       std::uint32_t n_out = 0;
       // Binary search charged inside sorted_search_chunks; per-row rank
-      // recovery is a few ALU ops.
-      for (std::uint64_t k = lo; k < hi; ++k) {
-        while (ws.offsets[row + 1] <= k) ++row;  // advance to owning row
+      // recovery is a few ALU ops. The chunk walks its rows one sub-range
+      // at a time: one row skip per row, then a tight edge loop.
+      for (std::uint64_t k = lo; k < hi;) {
+        while (ws.offsets[row + 1] <= k) ++row;  // skip zero-degree rows
         const VertexId src = in[row];
-        const EdgeId e = g.row_start(src) + (k - ws.offsets[row]);
-        n_out = detail::process_edge<F>(g, src, e, prob, scratch, n_out,
-                                        collect);
+        const std::uint64_t row_end = std::min(ws.offsets[row + 1], hi);
+        const EdgeId first = g.row_start(src) + (k - ws.offsets[row]);
+        const EdgeId last = first + (row_end - k);
+        for (EdgeId e = first; e < last; ++e)
+          n_out = detail::process_edge<F>(g, src, e, prob, scratch, n_out);
+        k = row_end;
       }
       w.bulk(hi - lo, per_edge);
       w.alu();  // chunk setup
-      ws.out.counts[w.id()] = collect ? n_out : 0;
+      ws.out.counts[w.id()] = n_out;
     });
-    if (collect) {
-      simt::scatter_into(dev, ws.out, num_chunks, out,
-                         [&](std::size_t c) { return c * chunk; });
-    } else {
-      out.clear();
-    }
+    simt::scatter_into(dev, ws.out, num_chunks, out,
+                       [&](std::size_t c) { return c * chunk; });
   } else {
     // Equal chunks of *nodes* per CTA: all lists of a chunk processed
     // cooperatively. Balanced within a chunk; imbalance across chunks shows
@@ -439,14 +439,13 @@ AdvanceStats advance_load_balanced(simt::Device& dev, const Csr& g,
     const std::size_t chunk_nodes = CM::kWarpSize;
     const std::size_t num_chunks =
         (in.size() + chunk_nodes - 1) / chunk_nodes;
-    ws.out.begin(num_chunks, collect ? total_work : 0);
+    ws.out.begin(num_chunks, total_work);
     dev.for_each_warp("advance_lb_nodes", num_chunks, [&](simt::Warp& w) {
       const std::size_t base = w.id() * chunk_nodes;
       const std::size_t n_here =
           std::min(chunk_nodes, in.size() - base);
       // chunk_nodes == kWarpSize, so warp_bases is exactly this chunking.
-      std::uint32_t* scratch =
-          collect ? ws.out.scratch.data() + ws.warp_bases[w.id()] : nullptr;
+      std::uint32_t* scratch = ws.out.scratch.data() + ws.warp_bases[w.id()];
       std::uint32_t n_out = 0;
       std::uint64_t count = 0;
       for (std::size_t l = 0; l < n_here; ++l) {
@@ -454,19 +453,14 @@ AdvanceStats advance_load_balanced(simt::Device& dev, const Csr& g,
         const EdgeId end = g.row_end(v);
         count += end - g.row_start(v);
         for (EdgeId e = g.row_start(v); e < end; ++e)
-          n_out = detail::process_edge<F>(g, v, e, prob, scratch, n_out,
-                                          collect);
+          n_out = detail::process_edge<F>(g, v, e, prob, scratch, n_out);
       }
       w.load_coalesced(static_cast<unsigned>(n_here));
       w.bulk(count, per_edge);
-      ws.out.counts[w.id()] = collect ? n_out : 0;
+      ws.out.counts[w.id()] = n_out;
     });
-    if (collect) {
-      simt::scatter_into(dev, ws.out, num_chunks, out,
-                         [&](std::size_t c) { return ws.warp_bases[c]; });
-    } else {
-      out.clear();
-    }
+    simt::scatter_into(dev, ws.out, num_chunks, out,
+                       [&](std::size_t c) { return ws.warp_bases[c]; });
   }
   stats.edges_processed = total_work;
   stats.outputs = out.size();
@@ -486,19 +480,7 @@ AdvanceStats advance_pull(simt::Device& dev, const Csr& g,
   stats.used_pull = true;
   stats.used_strategy = AdvanceStrategy::kLoadBalanced;
 
-  // Incremental bitmap maintenance: clear only the bits set by the previous
-  // frontier (tracked in ws.bitmap_frontier) instead of wiping all |V| words,
-  // then set the current frontier's bits. Single writer, so the bit ops are
-  // plain load/or/store — no locked RMWs.
-  if (ws.bitmap.size() != g.num_vertices()) {
-    ws.bitmap.resize(g.num_vertices());  // fresh bitmaps come zeroed
-    ws.bitmap_frontier.clear();
-  }
-  for (std::uint32_t v : ws.bitmap_frontier) ws.bitmap.reset_unsync(v);
-  const std::size_t stale = ws.bitmap_frontier.size();
-  for (std::uint32_t v : in) ws.bitmap.set_unsync(v);
-  ws.bitmap_frontier.assign(in.begin(), in.end());
-  dev.charge_pass("frontier_bitmap", stale + in.size(), CM::kScattered);
+  detail::mark_frontier(dev, g.num_vertices(), in, ws);
 
   // Each unvisited vertex emits at most itself: stage per-warp compactly at
   // the warp's base slot, then scan+scatter (deterministic vertex order).

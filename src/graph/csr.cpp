@@ -1,6 +1,7 @@
 #include "graph/csr.hpp"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 
 namespace grx {
@@ -69,11 +70,21 @@ bool rows_sorted(const Csr& g) {
   return sorted;
 }
 
+/// True iff the k weights at a[0..k) and b[0..k) are equal as multisets.
+/// k is a run of parallel arcs, almost always 1.
+bool same_weights(const Weight* a, const Weight* b, std::size_t k) {
+  for (std::size_t i = 0; i < k; ++i)
+    if (std::count(a, a + k, a[i]) != std::count(b, b + k, a[i]))
+      return false;
+  return true;
+}
+
 /// Sorted lists: every run of k equal entries u in v's list must meet
-/// exactly k entries v in u's list (an equal_range there). A reverse edge
-/// with no forward partner fails at its own row's check. O(E log d), no
+/// exactly k entries v in u's list (an equal_range there), and with
+/// `weights` the two runs must carry the same weights. A reverse edge with
+/// no forward partner fails at its own row's check. O(E log d), no
 /// allocation.
-bool sorted_rows_symmetric(const Csr& g) {
+bool sorted_rows_symmetric(const Csr& g, bool weights) {
   bool symmetric = true;
 #pragma omp parallel for schedule(dynamic, 256) reduction(&& : symmetric)
   for (std::ptrdiff_t vi = 0;
@@ -87,29 +98,46 @@ bool sorted_rows_symmetric(const Csr& g) {
       const auto back = g.neighbors(u);
       const auto [lo, hi] = std::equal_range(back.begin(), back.end(), v);
       symmetric = static_cast<std::size_t>(hi - lo) == j - i;
+      if (symmetric && weights)
+        symmetric = same_weights(
+            g.weights().data() + g.row_start(v) + i,
+            g.weights().data() + g.row_start(u) + (lo - back.begin()),
+            j - i);
       i = j;
     }
   }
   return symmetric;
 }
 
-}  // namespace
-
-bool is_symmetric(const Csr& g) {
-  if (rows_sorted(g)) return sorted_rows_symmetric(g);
-  // Unsorted lists: compare the sorted forward and reverse pair lists.
-  using Pair = std::pair<VertexId, VertexId>;
-  std::vector<Pair> fwd, rev;
+/// Unsorted lists: compare the sorted forward and reverse arc lists, with
+/// each arc's weight when `weights` (0 otherwise).
+bool unsorted_symmetric(const Csr& g, bool weights) {
+  using Arc = std::tuple<VertexId, VertexId, Weight>;
+  std::vector<Arc> fwd, rev;
   fwd.reserve(g.num_edges());
   rev.reserve(g.num_edges());
   for (VertexId v = 0; v < g.num_vertices(); ++v)
-    for (VertexId u : g.neighbors(v)) {
-      fwd.emplace_back(v, u);
-      rev.emplace_back(u, v);
+    for (EdgeId e = g.row_start(v); e < g.row_end(v); ++e) {
+      const Weight w = weights ? g.weight(e) : 0;
+      fwd.emplace_back(v, g.col_index(e), w);
+      rev.emplace_back(g.col_index(e), v, w);
     }
   std::sort(fwd.begin(), fwd.end());
   std::sort(rev.begin(), rev.end());
   return fwd == rev;
+}
+
+bool symmetric_arcs(const Csr& g, bool weights) {
+  return rows_sorted(g) ? sorted_rows_symmetric(g, weights)
+                        : unsorted_symmetric(g, weights);
+}
+
+}  // namespace
+
+bool is_symmetric(const Csr& g) { return symmetric_arcs(g, false); }
+
+bool has_symmetric_weights(const Csr& g) {
+  return symmetric_arcs(g, !g.weights().empty());
 }
 
 }  // namespace grx

@@ -75,4 +75,11 @@ Csr transpose(const Csr& g);
 /// as its own transpose (Engine::pagerank/hits/salsa, gunrock_pagerank).
 bool is_symmetric(const Csr& g);
 
+/// True iff g is symmetric (is_symmetric) and every arc (u, v) carries the
+/// weight of its reverse (v, u) — as multisets for parallel arcs — so g
+/// serves as its own *weighted* transpose (Engine's SSSP pull rounds). An
+/// unweighted graph qualifies iff it is symmetric. Same costs as
+/// is_symmetric.
+bool has_symmetric_weights(const Csr& g);
+
 }  // namespace grx

@@ -34,17 +34,20 @@ struct RelaxFunctor {
   static void apply_vertex(VertexId, SsspProblem&) {}
 };
 
-/// SSSP as an operator program: label-stamp + relax-advance + dedup-filter
-/// per round, with the near/far split as the frontier hand-off and the
-/// priority-level advance folded into the convergence predicate (the
+/// SSSP as an operator program: label-stamp, then a push round
+/// (relax-advance + dedup-filter) or a pull round (in-edge fold) by
+/// Beamer's switch, with the near/far split as the frontier hand-off and
+/// the priority-level advance folded into the convergence predicate (the
 /// "is there more work" question includes the banked far pile).
 struct SsspProgram {
   SsspProblem& p;
   PriorityFrontier& pq;
   const SsspOptions& opts;
+  const Csr& gT;
   VertexId source;
   AdvanceConfig acfg;
   FilterConfig fcfg;
+  DirectionState dir;
 
   auto priority() {
     return [this](std::uint32_t v) {
@@ -86,47 +89,147 @@ struct SsspProgram {
   }
 
   IterationStats step(OpContext& c) {
-    stamp_labels(c);
-    const AdvanceStats a = c.advance<RelaxFunctor>(p, acfg);
-    p.iteration++;
-    c.filter<RelaxFunctor>(p, fcfg);
+    const std::size_t size = c.frontier().size();
+    bool prepared = false;
+    const bool pulling = detail::choose_pull(
+        c.dev(), c.graph(), c.frontier().items(), opts.pull_alpha,
+        opts.pull_beta, dir, c.advance_workspace(), prepared);
+    const std::uint32_t min_label = stamp_labels(c);
+    const std::uint64_t edges =
+        pulling ? pull(c, min_label) : push(c, prepared);
     if (pq.enabled()) {
       pq.split(c.dev(), c.staged().items(), c.frontier().items(),
                priority());
     } else {
       c.promote();
     }
-    return {0, c.frontier().size(), c.advance_out().size(),
-            a.edges_processed, false};
+    return {0, size, c.frontier().size(), edges, pulling};
+  }
+
+  /// Push round: relax-advance into advance_out(), then the dedup filter
+  /// into staged(). Returns the edges relaxed.
+  std::uint64_t push(OpContext& c, bool prepared) {
+    const AdvanceStats a = advance_push<RelaxFunctor>(
+        c.dev(), c.graph(), c.frontier().items(), c.advance_out().items(), p,
+        acfg, c.advance_workspace(), prepared);
+    p.iteration++;
+    c.filter<RelaxFunctor>(p, fcfg);
+    return a.edges_processed;
   }
 
   /// Stamps each frontier vertex's enqueue-time label (see
-  /// SsspProblem::labels). A sub-phase of the frontier hand-off, not a
-  /// separate launch: one scattered read + write per frontier vertex.
-  void stamp_labels(OpContext& c) {
+  /// SsspProblem::labels) and returns the smallest: no candidate of this
+  /// round can be below it. A sub-phase of the frontier hand-off, not a
+  /// separate launch: one scattered read + write per frontier vertex, the
+  /// min a warp reduction on the side.
+  std::uint32_t stamp_labels(OpContext& c) {
     const auto& items = c.frontier().items();
     constexpr std::size_t kChunk = 256;
-    simt::Device::parallel_chunks(
-        (items.size() + kChunk - 1) / kChunk, [&](std::size_t ch) {
-          const std::size_t lo = ch * kChunk;
-          const std::size_t hi = std::min(items.size(), lo + kChunk);
-          for (std::size_t i = lo; i < hi; ++i) {
-            const std::uint32_t v = items[i];
-            p.labels[v] = simt::atomic_load(p.dist[v]);
-          }
-        });
+    std::uint32_t min_label = kInfinity;
+    const auto stamp = [&](std::size_t ch) {
+      const std::size_t lo = ch * kChunk;
+      const std::size_t hi = std::min(items.size(), lo + kChunk);
+      std::uint32_t m = kInfinity;
+      for (std::size_t i = lo; i < hi; ++i) {
+        const std::uint32_t v = items[i];
+        p.labels[v] = simt::atomic_load(p.dist[v]);
+        m = std::min(m, p.labels[v]);
+      }
+      return m;
+    };
+    const std::size_t chunks = (items.size() + kChunk - 1) / kChunk;
+    if (chunks <= simt::Device::kSerialLaunchWarps) {
+      for (std::size_t ch = 0; ch < chunks; ++ch)
+        min_label = std::min(min_label, stamp(ch));
+    } else {
+#pragma omp parallel for schedule(static) reduction(min : min_label)
+      for (std::ptrdiff_t ch = 0; ch < static_cast<std::ptrdiff_t>(chunks);
+           ++ch)
+        min_label = std::min(min_label, stamp(static_cast<std::size_t>(ch)));
+    }
     c.dev().charge_pass("sssp_labels", items.size(),
                         2 * simt::CostModel::kScattered, /*fused=*/true);
+    return min_label;
+  }
+
+  /// Pull round: every vertex v folds min(label[u] + w(u -> v)) over its
+  /// in-edges from frontier members u (the frontier bitmap) and, where the
+  /// fold beats dist[v], writes dist and pred itself. A vertex at or below
+  /// `min_label` (the smallest label) cannot improve and skips its
+  /// in-edges; an in-edge whose weight alone reaches the fold's best so far
+  /// skips its label read.
+  /// Each warp owns 32 consecutive vertices and sweeps their in-edges
+  /// cooperatively, as neighbor_reduce's per-warp mapping does; improved
+  /// vertices are staged per warp and scattered into staged() in vertex
+  /// order, unique — no dedup filter. Returns the in-edges swept.
+  std::uint64_t pull(OpContext& c, std::uint32_t min_label) {
+    using CM = simt::CostModel;
+    simt::Device& dev = c.dev();
+    AdvanceWorkspace& ws = c.advance_workspace();
+    const VertexId n = gT.num_vertices();
+    detail::mark_frontier(dev, n, c.frontier().items(), ws);
+    const std::size_t num_warps = (n + CM::kWarpSize - 1) / CM::kWarpSize;
+    ws.out.begin(num_warps, n);
+    if (ws.warp_probes.size() < num_warps) ws.warp_probes.resize(num_warps);
+    dev.for_each_warp("sssp_pull", num_warps, [&](simt::Warp& w) {
+      const VertexId base = static_cast<VertexId>(w.id() * CM::kWarpSize);
+      const auto lanes = static_cast<unsigned>(
+          std::min<VertexId>(CM::kWarpSize, n - base));
+      std::uint32_t* stage = ws.out.scratch.data() + base;
+      std::uint32_t improved = 0;
+      std::uint64_t swept = 0, hits = 0;
+      for (VertexId v = base; v < base + lanes; ++v) {
+        std::uint32_t best = p.dist[v];
+        if (best <= min_label) continue;
+        VertexId arg = kInvalidVertex;
+        const EdgeId end = gT.row_end(v);
+        swept += end - gT.row_start(v);
+        for (EdgeId e = gT.row_start(v); e < end; ++e) {
+          // No label is below min_label, so an arc whose weight alone
+          // closes the gap cannot improve v: skip its label read.
+          const std::uint32_t w_uv = gT.weight(e);
+          if (w_uv >= best - min_label) continue;
+          const VertexId u = gT.col_index(e);
+          if (!ws.bitmap.test(u)) continue;
+          ++hits;
+          const std::uint32_t cand = p.labels[u] + w_uv;
+          if (cand < best) {
+            best = cand;
+            arg = u;
+          }
+        }
+        if (arg == kInvalidVertex) continue;
+        p.dist[v] = best;
+        p.pred[v] = arg;
+        stage[improved++] = v;
+      }
+      w.load_coalesced(lanes);               // dist reads, row offsets
+      w.bulk(swept, CM::kCoalesced);         // in-edge sweep, bitmap tests
+      w.bulk(hits, CM::kScattered);          // frontier members' labels
+      w.bulk(improved, 2 * CM::kCoalesced);  // dist + pred stores
+      ws.out.counts[w.id()] = improved;
+      ws.warp_probes[w.id()] = swept;
+    });
+    simt::scatter_into(dev, ws.out, num_warps, c.staged().items(),
+                       [](std::size_t ch) { return ch * CM::kWarpSize; });
+    std::uint64_t swept = 0;
+    for (std::size_t w = 0; w < num_warps; ++w) swept += ws.warp_probes[w];
+    return swept;
   }
 };
 
 }  // namespace
 
-void SsspEnactor::enact(const Csr& g, VertexId source,
+void SsspEnactor::enact(const Csr& g, const Csr& gT, VertexId source,
                         const SsspOptions& opts, SsspResult& out) {
   GRX_CHECK_MSG(source < g.num_vertices(), "SSSP source out of range");
   GRX_CHECK_MSG(g.has_weights(), "SSSP requires edge weights");
-  SsspProgram prog{problem_, pq_, opts, source, {}, {}};
+  GRX_CHECK(gT.num_vertices() == g.num_vertices() &&
+            gT.num_edges() == g.num_edges());
+  GRX_CHECK_MSG(gT.weights().size() == g.weights().size(),
+                "SSSP pull rounds need g's weighted in-edges: an unweighted "
+                "transpose would relax hop counts");
+  SsspProgram prog{problem_, pq_, opts, gT, source, {}, {}, {}};
   enact_program(g, prog, out.summary);
   out.dist = problem_.dist;
   out.pred = problem_.pred;

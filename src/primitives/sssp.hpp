@@ -1,9 +1,22 @@
 // Single-source shortest path (Sections 4.1 and 5.2).
 //
-// Per iteration: advance relaxes all frontier-incident edges with an
-// atomicMin; filter removes redundant vertex ids; an optional two-level
-// near/far priority frontier (delta-stepping, Davidson et al. — see
-// core/priority_queue.hpp) defers long-distance work.
+// Per round: stamp every frontier vertex's enqueue-time label, then relax
+// the frontier's edges in one of two directions (Beamer's switch on
+// pull_alpha / pull_beta, Section 4.5):
+//
+//  * push — advance relaxes the frontier's out-edges with an atomicMin
+//           and a dedup filter keeps each improved vertex once.
+//  * pull — every vertex folds min(label[u] + w(u -> v)) over its weighted
+//           in-edges from frontier members u and, when that beats its
+//           distance, writes dist and pred with plain stores: one writer
+//           per vertex, no atomics, output already unique and in vertex
+//           order.
+//
+// An optional two-level near/far priority frontier (delta-stepping,
+// Davidson et al. — see core/priority_queue.hpp) defers long-distance
+// work. Relaxing from labels makes each round's improvement set a pure
+// function of round-start state, so dist, the queue stats and the round
+// count are the same whichever direction a round takes.
 #pragma once
 
 #include "core/advance.hpp"
@@ -20,6 +33,11 @@ struct SsspOptions {
   /// degree, the standard delta-stepping sizing (sssp_auto_delta).
   bool use_priority_queue = true;
   std::uint32_t delta = 0;
+  /// Direction switch (Beamer): pull once the frontier's edge volume
+  /// exceeds |E|/pull_alpha, back to push when the frontier shrinks below
+  /// |V|/pull_beta. Same defaults as AdvanceConfig.
+  double pull_alpha = 14.0;
+  double pull_beta = 24.0;
 };
 
 struct SsspResult {
@@ -45,6 +63,9 @@ struct SsspProblem {
   /// (Davidson's worklist-with-labels discipline). A vertex re-improved
   /// mid-round is re-enqueued and relaxes again with the fresher label.
   std::vector<std::uint32_t> labels;
+  /// Predecessors. Push rounds store any improving parent (the last writer
+  /// wins); pull rounds store the argmin in-neighbor, the first in in-edge
+  /// order among equal candidates.
   std::vector<VertexId> pred;
   /// Iteration tag per vertex: filter keeps the first occurrence of a
   /// vertex per iteration (the paper's output_queue_id dedup).
@@ -59,8 +80,12 @@ class SsspEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
-  void enact(const Csr& g, VertexId source, const SsspOptions& opts,
-             SsspResult& out);
+  /// SSSP from `source`. `gT` holds g's weighted in-edges (g's transpose,
+  /// or g itself when it is symmetric with equal weights both ways), read
+  /// by the pull rounds; an unweighted `gT` for a weighted `g` is rejected
+  /// (CheckError), since pulling over it would relax hop counts.
+  void enact(const Csr& g, const Csr& gT, VertexId source,
+             const SsspOptions& opts, SsspResult& out);
 
  private:
   SsspProblem problem_;

@@ -143,23 +143,6 @@ TEST(Advance, EmptyFrontierProducesEmptyOutput) {
   EXPECT_EQ(stats.edges_processed, 0u);
 }
 
-TEST(Advance, CollectOutputsFalseSuppressesQueue) {
-  const Csr g = testing::undirected(star_graph(64));
-  simt::Device dev;
-  MarkFunctor::Problem p;
-  p.seen.assign(g.num_vertices(), 0);
-  p.seen[0] = 1;
-  Frontier in, out;
-  in.assign_single(0);
-  AdvanceConfig cfg;
-  cfg.collect_outputs = false;
-  AdvanceWorkspace ws;
-  advance<MarkFunctor>(dev, g, in, out, p, cfg, ws);
-  EXPECT_TRUE(out.empty());
-  // ... but the computation still ran.
-  EXPECT_EQ(std::count(p.seen.begin(), p.seen.end(), 1), 64);
-}
-
 struct PassFilter {
   struct Problem {
     std::vector<std::uint8_t> keep;

@@ -346,8 +346,16 @@ TEST(Determinism, BatchBcForwardIdenticalAcrossThreadCounts) {
 // levels) on top of the assembler guarantees. Pile membership is a pure
 // function of post-advance distances and cutoffs, and all tallies are
 // commutative sums/mins, so distances, iteration counts, and the schedule
-// stats themselves must be byte-identical across 1/2/8 host threads and
-// across every advance strategy.
+// stats themselves must be byte-identical across 1/2/4/8 host threads and
+// across every advance strategy. The single-query runs take the default
+// push/pull switch, so pull rounds (one writer per vertex) are among the
+// rounds compared.
+
+bool any_pull(const SsspResult& r) {
+  return std::any_of(r.summary.per_iteration.begin(),
+                     r.summary.per_iteration.end(),
+                     [](const IterationStats& s) { return s.used_pull; });
+}
 
 TEST(Determinism, SsspNearFarIdenticalAcrossThreadCounts) {
   ThreadRestorer restore;
@@ -358,7 +366,8 @@ TEST(Determinism, SsspNearFarIdenticalAcrossThreadCounts) {
     simt::Device dev;
     const SsspResult ref = Engine(dev, g).sssp(3, opts);
     ASSERT_GT(ref.pq_stats.splits, 0u);
-    for (int threads : {2, 8}) {
+    ASSERT_TRUE(any_pull(ref));
+    for (int threads : {2, 4, 8}) {
       omp_set_num_threads(threads);
       const SsspResult run = Engine(dev, g).sssp(3, opts);
       EXPECT_EQ(run.dist, ref.dist) << threads << " threads";
@@ -376,6 +385,7 @@ TEST(Determinism, SsspNearFarIdenticalAcrossStrategies) {
     opts.delta = 16;
     opts.strategy = AdvanceStrategy::kThreadFine;
     const SsspResult ref = Engine(dev, g).sssp(3, opts);
+    ASSERT_TRUE(any_pull(ref));
     for (AdvanceStrategy s :
          {AdvanceStrategy::kTwc, AdvanceStrategy::kLoadBalanced,
           AdvanceStrategy::kAuto}) {

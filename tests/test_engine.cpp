@@ -306,8 +306,12 @@ TEST(EngineSteadyState, SsspAllocFree) {
   eng.sssp(kSrc, r);
   eng.sssp(kSrc, r);
   EXPECT_EQ(max_allocations_per_enact([&] { eng.sssp(kSrc, r); }), 0u);
-  // The near/far schedule must actually have run for this to mean much.
+  // The near/far schedule and a pull round (the frontier bitmap and the
+  // pull's staging) must actually have run for this to mean much.
   EXPECT_GT(r.pq_stats.splits, 0u);
+  EXPECT_TRUE(std::any_of(r.summary.per_iteration.begin(),
+                          r.summary.per_iteration.end(),
+                          [](const IterationStats& s) { return s.used_pull; }));
 }
 
 TEST(EngineSteadyState, BcAllocFree) {

@@ -59,6 +59,36 @@ TEST(Csr, DoubleTransposeIsIdentity) {
   }
 }
 
+TEST(Csr, SymmetricWeights) {
+  // Symmetrizing copies each edge's weight to its reverse; drawing weights
+  // per arc afterwards keeps the structure symmetric but not the weights.
+  const EdgeList el = road_grid(8, 8, 0.0, 0.0, 5);  // no repeated pairs
+  EXPECT_TRUE(has_symmetric_weights(testing::undirected_symw(el)));
+  const Csr per_arc = testing::undirected(el);
+  EXPECT_TRUE(is_symmetric(per_arc));
+  EXPECT_FALSE(has_symmetric_weights(per_arc));
+  // Unweighted: the structural answer.
+  const Csr bare(per_arc.num_vertices(),
+                 {per_arc.row_offsets().begin(), per_arc.row_offsets().end()},
+                 {per_arc.col_indices().begin(), per_arc.col_indices().end()});
+  EXPECT_TRUE(has_symmetric_weights(bare));
+  // Parallel arcs compare as weight multisets, on sorted rows ...
+  EdgeList multi;
+  multi.num_vertices = 2;
+  multi.edges = {{0, 1, 1}, {0, 1, 2}, {1, 0, 2}, {1, 0, 1}};
+  BuildOptions keep;
+  keep.dedup = false;
+  EXPECT_TRUE(has_symmetric_weights(build_csr(multi, keep)));
+  multi.edges[3].weight = 2;
+  EXPECT_FALSE(has_symmetric_weights(build_csr(multi, keep)));
+  // ... and on unsorted ones.
+  const Csr unsorted(3, {0, 2, 3, 4}, {2, 1, 0, 0}, {5, 3, 3, 5});
+  EXPECT_TRUE(has_symmetric_weights(unsorted));
+  const Csr skewed(3, {0, 2, 3, 4}, {2, 1, 0, 0}, {5, 3, 3, 4});
+  EXPECT_TRUE(is_symmetric(skewed));
+  EXPECT_FALSE(has_symmetric_weights(skewed));
+}
+
 TEST(Builder, RemovesSelfLoopsAndDuplicates) {
   EdgeList el;
   el.num_vertices = 3;

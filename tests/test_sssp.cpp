@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "api/engine.hpp"
@@ -11,6 +12,44 @@ namespace grx {
 namespace {
 
 using SsspParam = std::tuple<std::string, AdvanceStrategy, bool>;
+
+bool pulled(const SsspResult& r) {
+  return std::any_of(r.summary.per_iteration.begin(),
+                     r.summary.per_iteration.end(),
+                     [](const IterationStats& s) { return s.used_pull; });
+}
+
+/// Every reached vertex but the source records a predecessor p with an
+/// arc (p -> v) in g and dist[p] + w(p, v) == dist[v].
+void expect_shortest_path_tree(const Csr& g, VertexId source,
+                               const SsspResult& r) {
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (v == source || r.dist[v] == kInfinity) continue;
+    const VertexId p = r.pred[v];
+    ASSERT_NE(p, kInvalidVertex) << "vertex " << v;
+    const auto nbrs = g.neighbors(p);
+    const auto ws = g.edge_weights(p);
+    bool ok = false;
+    for (std::size_t i = 0; i < nbrs.size(); ++i)
+      if (nbrs[i] == v && r.dist[p] + ws[i] == r.dist[v]) ok = true;
+    ASSERT_TRUE(ok) << "vertex " << v << " pred " << p;
+  }
+}
+
+/// The vertex of largest out-degree: a source whose frontier turns dense.
+VertexId hub(const Csr& g) {
+  VertexId h = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    if (g.degree(v) > g.degree(h)) h = v;
+  return h;
+}
+
+/// A directed rmat graph with random weights: its in-edges differ from its
+/// out-edges in structure and in weight.
+Csr directed_rmat(std::uint32_t scale, std::uint64_t seed) {
+  return with_random_weights(build_csr(rmat(scale, 16, seed), BuildOptions{}),
+                             seed ^ 0x77);
+}
 
 class SsspSweep : public ::testing::TestWithParam<SsspParam> {};
 
@@ -89,18 +128,86 @@ TEST(Sssp, UnreachableStaysInfinity) {
 TEST(Sssp, PredecessorsFormShortestPathTree) {
   const Csr g = testing::random_graph(256, 1024, 17);
   simt::Device dev;
-  const SsspResult r = Engine(dev, g).sssp(0);
-  for (VertexId v = 1; v < g.num_vertices(); ++v) {
-    if (r.dist[v] == kInfinity) continue;
-    const VertexId p = r.pred[v];
-    ASSERT_NE(p, kInvalidVertex);
-    // dist[v] == dist[p] + w(p, v) for the recorded predecessor edge.
-    const auto nbrs = g.neighbors(p);
-    const auto ws = g.edge_weights(p);
-    bool ok = false;
-    for (std::size_t i = 0; i < nbrs.size(); ++i)
-      if (nbrs[i] == v && r.dist[p] + ws[i] == r.dist[v]) ok = true;
-    EXPECT_TRUE(ok) << "vertex " << v;
+  expect_shortest_path_tree(g, 0, Engine(dev, g).sssp(0));
+}
+
+// Pull rounds fold over weighted in-edges. On a structurally symmetric
+// graph whose two arc directions carry independent weights, and on a
+// directed graph, folding over g's out-edges instead would give wrong
+// distances; each in-edge resolution (g's engine-built transpose, the
+// explicit transpose) must match Dijkstra with pull rounds running.
+TEST(Sssp, PullMatchesDijkstraOnAsymmetricWeights) {
+  simt::Device dev;
+  const Csr sym = testing::undirected(rmat(14, 16, 3));  // w(u,v) != w(v,u)
+  ASSERT_TRUE(is_symmetric(sym));
+  ASSERT_FALSE(has_symmetric_weights(sym));
+  const Csr dir = directed_rmat(13, 5);
+  ASSERT_FALSE(is_symmetric(dir));
+  const Csr dirT = transpose(dir);
+  struct Case {
+    const char* name;
+    const Csr& g;
+    const Csr* gT;  ///< explicit transpose, or null
+  };
+  for (const Case& c : {Case{"symmetric, asymmetric weights", sym, nullptr},
+                        Case{"directed, engine-built transpose", dir, nullptr},
+                        Case{"directed, explicit transpose", dir, &dirT}}) {
+    const VertexId src = hub(c.g);
+    const auto oracle = serial::dijkstra(c.g, src);
+    Engine eng = c.gT ? Engine(dev, c.g, *c.gT) : Engine(dev, c.g);
+    const SsspResult r = eng.sssp(src);
+    EXPECT_TRUE(pulled(r)) << c.name;
+    EXPECT_EQ(r.dist, oracle) << c.name;
+    expect_shortest_path_tree(c.g, src, r);
+  }
+}
+
+// An explicit transpose without weights cannot serve the pull rounds
+// (Csr::weight() reads 1 on an unweighted graph, so they would relax hop
+// counts): the Engine falls back to its own weighted transpose, and the
+// enactor rejects an unweighted one outright.
+TEST(Sssp, UnweightedTransposeIsNotPulledOver) {
+  const Csr g = directed_rmat(12, 9);
+  const Csr wT = transpose(g);
+  const Csr bareT(wT.num_vertices(),
+                  {wT.row_offsets().begin(), wT.row_offsets().end()},
+                  {wT.col_indices().begin(), wT.col_indices().end()});
+  const VertexId src = hub(g);
+  simt::Device dev;
+  const SsspResult r = Engine(dev, g, bareT).sssp(src);
+  EXPECT_TRUE(pulled(r));
+  EXPECT_EQ(r.dist, serial::dijkstra(g, src));
+
+  SsspEnactor enactor(dev);
+  SsspResult out;
+  EXPECT_THROW(enactor.enact(g, bareT, src, SsspOptions{}, out), CheckError);
+  EXPECT_NO_THROW(enactor.enact(g, wT, src, SsspOptions{}, out));
+  EXPECT_EQ(out.dist, r.dist);
+}
+
+// A pull round improves exactly the vertices a push round would, to the
+// same distances: forcing push everywhere (pull_alpha ~ 0) changes no
+// distance, queue statistic or round count. Predecessors may differ among
+// equal-length parents, but both runs record a shortest-path tree.
+TEST(Sssp, DirectionChangesNoByte) {
+  simt::Device dev;
+  const Csr power = testing::undirected(rmat(13, 16, 11));
+  const Csr dir = directed_rmat(13, 5);
+  for (const Csr* g : {&power, &dir}) {
+    Engine eng(dev, *g);
+    const VertexId src = hub(*g);
+    QueryOptions push_only;
+    push_only.pull_alpha = 1e-9;
+    const SsspResult a = eng.sssp(src, push_only);
+    const SsspResult b = eng.sssp(src);
+    ASSERT_FALSE(pulled(a));
+    ASSERT_TRUE(pulled(b));
+    EXPECT_EQ(a.dist, b.dist);
+    EXPECT_EQ(a.pq_stats, b.pq_stats);
+    EXPECT_GT(b.pq_stats.splits, 0u);
+    EXPECT_EQ(a.summary.iterations, b.summary.iterations);
+    expect_shortest_path_tree(*g, src, a);
+    expect_shortest_path_tree(*g, src, b);
   }
 }
 
