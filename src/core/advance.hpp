@@ -222,20 +222,22 @@ inline void mark_frontier(simt::Device& dev, VertexId num_vertices,
                   simt::CostModel::kScattered);
 }
 
-/// The kAuto hybrid rule (Section 4.4), read from prepare_frontier's degree
-/// gather: skewed frontiers -> LB partitioning; evenly-distributed small
-/// degrees -> fine-grained dynamic grouping (TWC). Exact max/avg, no
-/// sampling pass. Explicit strategies pass through unchanged. Shared by the
-/// push advance and neighbor_reduce.
+/// The kAuto hybrid rule (Section 4.4), read from a frontier's edge total
+/// and max degree (prepare_frontier's degree gather, or the graph's own
+/// totals for the whole vertex range): skewed frontiers -> LB partitioning;
+/// evenly-distributed small degrees -> fine-grained dynamic grouping (TWC).
+/// Exact max/avg, no sampling pass. Explicit strategies pass through
+/// unchanged. Shared by the push advance and neighbor_reduce.
 inline AdvanceStrategy resolve_strategy(AdvanceStrategy s,
-                                        const AdvanceWorkspace& ws,
+                                        std::uint64_t frontier_edges,
+                                        std::uint32_t max_degree,
                                         std::size_t frontier_size) {
   if (s != AdvanceStrategy::kAuto) return s;
   const double avg = frontier_size == 0
                          ? 0.0
-                         : static_cast<double>(ws.frontier_edges) /
+                         : static_cast<double>(frontier_edges) /
                                static_cast<double>(frontier_size);
-  return (ws.max_degree > 16 * std::max(1.0, avg) || ws.max_degree > 256)
+  return (max_degree > 16 * std::max(1.0, avg) || max_degree > 256)
              ? AdvanceStrategy::kLoadBalanced
              : AdvanceStrategy::kTwc;
 }
@@ -538,7 +540,8 @@ AdvanceStats advance_push(simt::Device& dev, const Csr& g,
     detail::prepare_frontier(dev, g, in, ws);
     frontier_prepared = true;
   }
-  switch (detail::resolve_strategy(cfg.strategy, ws, in.size())) {
+  switch (detail::resolve_strategy(cfg.strategy, ws.frontier_edges,
+                                   ws.max_degree, in.size())) {
     case AdvanceStrategy::kThreadFine:
       return advance_thread_fine<F>(dev, g, in, out, prob, cfg, ws,
                                     frontier_prepared);

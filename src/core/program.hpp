@@ -150,6 +150,28 @@ class OpContext {
                               std::forward<ReduceFn>(reduce));
   }
 
+  /// Plans the whole-vertex-range gather over `g` (once per enact): the
+  /// mapping `cfg` picks for the frontier [0, n) and its chunk starts, into
+  /// the caller-pooled `plan`.
+  void plan_whole_gather(const Csr& g, WholeGatherPlan& plan,
+                         const AdvanceConfig& cfg = {}) {
+    grx::plan_whole_gather(dev_, g, cfg, plan);
+  }
+
+  /// Gather-reduce over every vertex of `g`, out[v] for vertex v, with the
+  /// plan built for `g`: neighbor_reduce over an iota frontier, byte for
+  /// byte, for programs whose frontier is every vertex (PageRank before its
+  /// first prune, HITS, SALSA). Returns the edges swept.
+  template <typename T, typename P, typename MapFn, typename ReduceFn>
+  std::uint64_t neighbor_reduce_all(const Csr& g, const WholeGatherPlan& plan,
+                                    std::vector<T>& out, P& prob, T init,
+                                    MapFn&& map, ReduceFn&& reduce) {
+    return grx::neighbor_reduce_all<T>(dev_, g, plan, out, prob, init,
+                                       std::forward<MapFn>(map),
+                                       std::forward<ReduceFn>(reduce),
+                                       advance_ws_);
+  }
+
  private:
   simt::Device& dev_;
   const Csr& g_;

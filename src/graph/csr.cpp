@@ -14,6 +14,8 @@ Csr::Csr(VertexId num_vertices, std::vector<EdgeId> row_offsets,
       col_indices_(std::move(col_indices)),
       weights_(std::move(weights)) {
   validate();
+  for (VertexId v = 0; v < n_; ++v)
+    max_degree_ = std::max(max_degree_, degree(v));
 }
 
 void Csr::validate() const {
@@ -29,12 +31,6 @@ void Csr::validate() const {
     GRX_CHECK_MSG(c < n_, "column index out of range");
   GRX_CHECK_MSG(weights_.empty() || weights_.size() == col_indices_.size(),
                 "weights must be empty or one per edge");
-}
-
-std::uint32_t Csr::max_degree() const {
-  std::uint32_t best = 0;
-  for (VertexId v = 0; v < n_; ++v) best = std::max(best, degree(v));
-  return best;
 }
 
 Csr transpose(const Csr& g) {

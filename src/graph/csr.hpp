@@ -52,12 +52,14 @@ class Csr {
   /// Throws CheckError on violation — used by tests and after every build.
   void validate() const;
 
-  /// Degree statistics used by advance-strategy selection.
-  std::uint32_t max_degree() const;
+  /// Largest out-degree, computed once at construction: with num_edges()
+  /// the totals the kAuto mapping rule reads for the whole vertex range.
+  std::uint32_t max_degree() const { return max_degree_; }
 
  private:
   VertexId n_ = 0;
   EdgeId m_ = 0;
+  std::uint32_t max_degree_ = 0;
   std::vector<EdgeId> row_offsets_;    // size n+1
   std::vector<VertexId> col_indices_;  // size m
   std::vector<Weight> weights_;        // size m or 0

@@ -32,8 +32,11 @@ struct HitsProgram {
     const VertexId n = c.graph().num_vertices();
     p.hub.assign(n, 1.0);
     p.auth.assign(n, 1.0);
+    // The frontier is every vertex on every iteration: both sweeps take
+    // the whole-range gather, planned here once per enact.
+    c.plan_whole_gather(gT, p.in_plan);
+    c.plan_whole_gather(c.graph(), p.out_plan);
     it = 0;
-    c.frontier().assign_iota(n);
   }
 
   bool converged(OpContext&) { return it >= opts.iterations; }
@@ -42,8 +45,8 @@ struct HitsProgram {
     const Csr& g = c.graph();
     // auth(v) = sum over in-edges (u -> v) of hub(u): a gather-reduce over
     // the transpose's neighborhoods.
-    c.neighbor_reduce<double>(
-        gT, scratch, p, 0.0,
+    c.neighbor_reduce_all<double>(
+        gT, p.in_plan, scratch, p, 0.0,
         [&](VertexId, VertexId u, EdgeId, HitsProblem& prob) {
           return prob.hub[u];
         },
@@ -52,8 +55,8 @@ struct HitsProgram {
     l2_normalize(c.dev(), p.auth);
 
     // hub(v) = sum over out-edges (v -> u) of auth(u).
-    c.neighbor_reduce<double>(
-        g, scratch, p, 0.0,
+    c.neighbor_reduce_all<double>(
+        g, p.out_plan, scratch, p, 0.0,
         [&](VertexId, VertexId u, EdgeId, HitsProblem& prob) {
           return prob.auth[u];
         },

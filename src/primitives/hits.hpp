@@ -10,6 +10,7 @@
 #pragma once
 
 #include "core/enactor.hpp"
+#include "core/neighbor_reduce.hpp"
 #include "graph/csr.hpp"
 
 namespace grx {
@@ -28,6 +29,8 @@ struct HitsResult {
 struct HitsProblem {
   std::vector<double> hub;
   std::vector<double> auth;
+  WholeGatherPlan in_plan;   // authority sweep, over the transpose
+  WholeGatherPlan out_plan;  // hub sweep, over the graph
 };
 
 /// Persistent HITS enactor with pooled Problem and gather-reduce scratch.

@@ -21,7 +21,9 @@ double contribution(const Csr& g, VertexId v, double rank) {
 }
 
 /// PageRank as an operator program: gather over in-edges, fused
-/// update-and-contribute compute, prune-filter.
+/// update-and-contribute compute, prune-filter. While the frontier is every
+/// vertex (always at epsilon 0, and until the first prune otherwise) the
+/// gather takes the whole-range form, planned once per enact.
 struct PrProgram {
   PrProblem& p;
   const Csr& gT;
@@ -40,8 +42,16 @@ struct PrProgram {
     c.compute_all(n, p, [&](std::uint32_t v, PrProblem& prob) {
       prob.contrib[v] = contribution(g, v, prob.rank[v]);
     });
+    // The dangling vertices, in vertex order: a compaction of the degree
+    // flags the compute above reads.
+    p.dangling.clear();
+    for (VertexId v = 0; v < n; ++v)
+      if (g.degree(v) == 0) p.dangling.push_back(v);
+    c.dev().charge_pass("pr_dangling", n, simt::CostModel::kCoalesced,
+                        /*fused=*/true);
 
     cfg.strategy = opts.strategy;
+    c.plan_whole_gather(gT, p.plan, cfg);
     iter = 0;
 
     c.frontier().assign_iota(n);
@@ -55,18 +65,24 @@ struct PrProgram {
     const Csr& g = c.graph();
     const auto n = g.num_vertices();
     // gathered[i] = sum of contrib[u] over the in-edges (u -> v_i).
-    const std::uint64_t edges = c.neighbor_reduce<double>(
-        gT, p.gathered, p, 0.0,
-        [](VertexId, VertexId u, EdgeId, PrProblem& prob) {
-          return prob.contrib[u];
-        },
-        [](double a, double b) { return a + b; }, cfg);
+    const auto map = [](VertexId, VertexId u, EdgeId, PrProblem& prob) {
+      return prob.contrib[u];
+    };
+    const auto sum = [](double a, double b) { return a + b; };
+    // A frontier of n items is the iota frontier: the filter only drops.
+    const std::uint64_t edges =
+        c.frontier().size() == n
+            ? c.neighbor_reduce_all<double>(gT, p.plan, p.gathered, p, 0.0,
+                                            map, sum)
+            : c.neighbor_reduce<double>(gT, p.gathered, p, 0.0, map, sum,
+                                        cfg);
 
-    // Dangling mass: vertices with no out-edges spread uniformly.
+    // Dangling mass: vertices with no out-edges spread uniformly. Summed
+    // in vertex order.
     double dangling = 0.0;
-    for (VertexId v = 0; v < n; ++v)
-      if (g.degree(v) == 0) dangling += p.rank[v];
-    c.dev().charge_pass("pr_dangling", n, simt::CostModel::kCoalesced);
+    for (VertexId v : p.dangling) dangling += p.rank[v];
+    c.dev().charge_pass("pr_dangling", p.dangling.size(),
+                        simt::CostModel::kCoalesced);
 
     // Rank update + convergence test + the next gather's contribution.
     const double base =
@@ -79,12 +95,15 @@ struct PrProgram {
       prob.rank[v] = next;
       prob.contrib[v] = contribution(g, v, next);
     });
-
-    c.filter_frontier<PruneFunctor>(p, fcfg);
-    const IterationStats s{0, c.frontier().size(), c.staged().size(), edges,
-                           false};
-    if (opts.epsilon > 0.0) c.promote();
     ++iter;
+
+    // Without a positive epsilon nothing converges, so the prune filter
+    // could drop nothing: the frontier stays whole.
+    const std::uint64_t active = c.frontier().size();
+    if (opts.epsilon <= 0.0) return {0, active, active, edges, false};
+    c.filter_frontier<PruneFunctor>(p, fcfg);
+    const IterationStats s{0, active, c.staged().size(), edges, false};
+    c.promote();
     return s;
   }
 };

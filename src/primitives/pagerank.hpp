@@ -5,10 +5,19 @@
 // the next gather reads — Section 4.3's fusion), and one filter (drop
 // vertices whose rank has converged). The gather's fold order depends on
 // the frontier alone, so ranks are byte-identical across thread counts.
+//
+// An iteration pays only for work that changes: while the frontier is
+// every vertex (always at epsilon 0, and until the first prune otherwise)
+// the gather takes neighbor_reduce_all, whose mapping and chunk starts are
+// planned once per enact from the transpose's row offsets; the dangling
+// vertices are listed once per enact; and at epsilon 0, where nothing can
+// converge, no prune filter runs. Each of these yields the same bytes as
+// its per-iteration form.
 #pragma once
 
 #include "core/advance.hpp"
 #include "core/enactor.hpp"
+#include "core/neighbor_reduce.hpp"
 #include "graph/csr.hpp"
 
 namespace grx {
@@ -46,6 +55,8 @@ struct PrProblem {
   std::vector<double> contrib;   // rank / out-degree (0 when dangling)
   std::vector<double> gathered;  // per frontier item, pooled
   std::vector<std::uint8_t> converged;
+  std::vector<VertexId> dangling;  // out-degree 0, in vertex order
+  WholeGatherPlan plan;            // whole-range gather over the transpose
   double epsilon = 0.0;
 };
 

@@ -40,8 +40,11 @@ struct SalsaProgram {
     }
     l1_normalize(c.dev(), p.hub);
     l1_normalize(c.dev(), p.auth);
+    // The frontier is every vertex on every iteration: both sweeps take
+    // the whole-range gather, planned here once per enact.
+    c.plan_whole_gather(gT, p.in_plan);
+    c.plan_whole_gather(c.graph(), p.out_plan);
     it = 0;
-    c.frontier().assign_iota(n);
   }
 
   bool converged(OpContext&) { return it >= opts.iterations; }
@@ -49,8 +52,8 @@ struct SalsaProgram {
   IterationStats step(OpContext& c) {
     const Csr& g = c.graph();
     // Authority step: a(v) = sum over in-edges (u -> v) of h(u)/outdeg(u).
-    c.neighbor_reduce<double>(
-        gT, scratch, p, 0.0,
+    c.neighbor_reduce_all<double>(
+        gT, p.in_plan, scratch, p, 0.0,
         [&](VertexId, VertexId u, EdgeId, SalsaProblem& prob) {
           const auto d = prob.g->degree(u);
           return d ? prob.hub[u] / d : 0.0;
@@ -60,8 +63,8 @@ struct SalsaProgram {
     l1_normalize(c.dev(), p.auth);
 
     // Hub step: h(u) = sum over out-edges (u -> v) of a(v)/indeg(v).
-    c.neighbor_reduce<double>(
-        g, scratch, p, 0.0,
+    c.neighbor_reduce_all<double>(
+        g, p.out_plan, scratch, p, 0.0,
         [&](VertexId, VertexId v, EdgeId, SalsaProblem& prob) {
           const auto d = prob.gT->degree(v);
           return d ? prob.auth[v] / d : 0.0;

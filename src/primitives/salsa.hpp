@@ -12,6 +12,7 @@
 #pragma once
 
 #include "core/enactor.hpp"
+#include "core/neighbor_reduce.hpp"
 #include "graph/csr.hpp"
 
 namespace grx {
@@ -32,6 +33,8 @@ struct SalsaProblem {
   const Csr* gT = nullptr;  // reverse edges
   std::vector<double> hub;
   std::vector<double> auth;
+  WholeGatherPlan in_plan;   // authority sweep, over gT
+  WholeGatherPlan out_plan;  // hub sweep, over g
 };
 
 /// Persistent SALSA enactor with pooled Problem and gather-reduce scratch.

@@ -8,8 +8,10 @@
 // before including this header owns the binary's operator new replacement.
 #include "alloc_probe.hpp"
 
+#include <algorithm>
 #include <map>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -36,8 +38,21 @@ inline Csr undirected(const EdgeList& el, std::uint64_t weight_seed = 7) {
 }
 
 /// Builds an undirected CSR with *symmetric* weights (w(u,v) == w(v,u)),
-/// required for SSSP correctness checks on undirected graphs.
+/// required for SSSP correctness checks on undirected graphs. Each
+/// unordered pair is weighted once: pairs are canonicalized (src <= dst)
+/// and deduplicated first, so a list that repeats a pair, either way
+/// round, cannot leave its two arcs with different weights.
 inline Csr undirected_symw(EdgeList el, std::uint64_t weight_seed = 7) {
+  const auto pair_of = [](const Edge& e) { return std::pair{e.src, e.dst}; };
+  for (Edge& e : el.edges)
+    if (e.dst < e.src) std::swap(e.src, e.dst);
+  std::sort(el.edges.begin(), el.edges.end(),
+            [&](const Edge& a, const Edge& b) { return pair_of(a) < pair_of(b); });
+  el.edges.erase(std::unique(el.edges.begin(), el.edges.end(),
+                             [&](const Edge& a, const Edge& b) {
+                               return pair_of(a) == pair_of(b);
+                             }),
+                 el.edges.end());
   Rng rng(weight_seed);
   for (Edge& e : el.edges) e.weight = static_cast<Weight>(1 + rng.next_below(64));
   BuildOptions opts;

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <map>
 #include <ranges>
 #include <set>
 
 #include "core/advance.hpp"
 #include "core/compute.hpp"
 #include "core/filter.hpp"
+#include "core/neighbor_reduce.hpp"
 #include "core/priority_queue.hpp"
+#include "graph/builder.hpp"
 #include "test_common.hpp"
 
 namespace grx {
@@ -267,6 +271,82 @@ TEST(Compute, RunsOnEveryElement) {
   compute(dev, f, p,
           [](std::uint32_t v, P& prob) { simt::atomic_add(prob.sum, v); });
   EXPECT_EQ(p.sum, 12u);
+}
+
+/// Device time of the reduce kernels only, by name: what the whole-range
+/// and frontier forms share (the frontier form adds its degree gather, scan
+/// and sorted search around them).
+std::map<std::string, double> reduce_kernel_us(const simt::Device& dev) {
+  std::map<std::string, double> us;
+  for (const auto& k : dev.kernel_log())
+    if (k.name.starts_with("neighbor_reduce")) us[k.name] += k.time_us;
+  return us;
+}
+
+TEST(NeighborReduce, WholeRangeMatchesIotaFrontier) {
+  // Directed rmat (skewed: kAuto takes edge chunks) and a road grid (even
+  // degrees: kAuto stays per-warp), each with zero-degree rows inside and
+  // isolated vertices trailing the id range.
+  EdgeList skewed = rmat(12, 8, 11);
+  skewed.num_vertices += 100;
+  EdgeList even = road_grid(80, 80, 0.0, 0.0, 3);
+  even.num_vertices += 37;
+  BuildOptions sym;
+  sym.symmetrize = true;
+  const Csr rmat_g = build_csr(skewed);
+  const Csr grid_g = build_csr(even, sym);
+  ASSERT_EQ(rmat_g.degree(rmat_g.num_vertices() - 1), 0u);
+  ASSERT_EQ(grid_g.degree(grid_g.num_vertices() - 1), 0u);
+  struct NullProblem {};
+  // Order-sensitive double sums: any change of fold order shows in the
+  // bytes.
+  const auto map = [](VertexId, VertexId u, EdgeId e, NullProblem&) {
+    return 1.0 / (1.0 + u) + 1e-3 * static_cast<double>(e % 7);
+  };
+  const auto sum = [](double a, double b) { return a + b; };
+  for (const auto& [g, auto_chunked] :
+       {std::pair{&rmat_g, true}, std::pair{&grid_g, false}}) {
+    ASSERT_GE(g->num_vertices(), AdvanceConfig{}.lb_node_edge_threshold);
+    Frontier iota;
+    iota.assign_iota(g->num_vertices());
+    for (AdvanceStrategy s :
+         {AdvanceStrategy::kAuto, AdvanceStrategy::kLoadBalanced,
+          AdvanceStrategy::kTwc}) {
+      AdvanceConfig cfg;
+      cfg.strategy = s;
+      NullProblem p;
+      simt::Device frontier_dev, whole_dev;
+      frontier_dev.set_profiling(true);
+      whole_dev.set_profiling(true);
+      AdvanceWorkspace frontier_ws, whole_ws;
+      std::vector<double> want, got;
+      const std::uint64_t want_edges = neighbor_reduce<double>(
+          frontier_dev, *g, iota, want, p, 0.0, map, sum, cfg, frontier_ws);
+      WholeGatherPlan plan;
+      plan_whole_gather(whole_dev, *g, cfg, plan);
+      const std::uint64_t got_edges = neighbor_reduce_all<double>(
+          whole_dev, *g, plan, got, p, 0.0, map, sum, whole_ws);
+      const bool chunked =
+          s == AdvanceStrategy::kLoadBalanced ||
+          (s == AdvanceStrategy::kAuto && auto_chunked);
+      EXPECT_EQ(plan.edge_chunked, chunked);
+      EXPECT_EQ(got_edges, want_edges);
+      EXPECT_EQ(got_edges, g->num_edges());
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(double)),
+                0)
+          << "strategy " << static_cast<int>(s);
+      EXPECT_EQ(reduce_kernel_us(whole_dev), reduce_kernel_us(frontier_dev));
+      EXPECT_EQ(reduce_kernel_us(whole_dev).count("neighbor_reduce_lb"),
+                chunked ? 1u : 0u);
+      // The sweep itself pays for no degree gather or scan.
+      for (const auto& k : whole_dev.kernel_log())
+        EXPECT_TRUE(k.name.starts_with("neighbor_reduce") ||
+                    k.name == "lb_search")
+            << k.name;
+    }
+  }
 }
 
 TEST(Frontier, BitmapConversion) {

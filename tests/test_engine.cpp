@@ -352,6 +352,24 @@ TEST(EngineSteadyState, PagerankAllocFree) {
   EXPECT_FALSE(r.rank.empty());
 }
 
+TEST(EngineSteadyState, PagerankExactAllocFree) {
+  // epsilon 0: the whole-range gather on both mappings (per-warp on the
+  // small graph, edge-chunked at scale 13), its plan and the dangling list
+  // rebuilt into pooled storage on every call.
+  QueryOptions q;
+  q.epsilon = 0.0;
+  q.max_iterations = 20;
+  for (const Csr* g : {&serving_graph(), &testing::power_law_serving_graph(13)}) {
+    simt::Device dev;
+    Engine eng(dev, *g);
+    PagerankResult r;
+    eng.pagerank(r, q);
+    eng.pagerank(r, q);
+    EXPECT_EQ(max_allocations_per_enact([&] { eng.pagerank(r, q); }), 0u);
+    EXPECT_EQ(r.summary.iterations, 20u);
+  }
+}
+
 TEST(EngineSteadyState, PagerankGatherPathsAllocFree) {
   // The edge-chunked gather (frontier above the LB threshold) over a
   // symmetric graph, and over the transpose the engine builds for a

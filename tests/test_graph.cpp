@@ -59,6 +59,16 @@ TEST(Csr, DoubleTransposeIsIdentity) {
   }
 }
 
+TEST(Csr, SymmetricWeightFixturesOnRepeatedPairs) {
+  // Generator lists repeat pairs, either way round (rmat(8, 4, 123) gives
+  // its 1486 arcs from such a list); the fixture weights each unordered
+  // pair once, so every arc carries its reverse's weight.
+  const Csr g = testing::undirected_symw(rmat(8, 4, 123));
+  EXPECT_EQ(g.num_edges(), 1486u);
+  EXPECT_TRUE(has_symmetric_weights(g));
+  EXPECT_TRUE(has_symmetric_weights(testing::power_law_serving_graph()));
+}
+
 TEST(Csr, SymmetricWeights) {
   // Symmetrizing copies each edge's weight to its reverse; drawing weights
   // per arc afterwards keeps the structure symmetric but not the weights.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "api/engine.hpp"
 #include "baselines/serial/serial.hpp"
@@ -189,6 +191,40 @@ TEST(PagerankDirected, TemporaryEngine) {
   EXPECT_TRUE(
       testing::near_vectors(r.rank, serial::pagerank(g, 0.85, 20), 1e-10));
   EXPECT_NEAR(sum(r.rank), 1.0, 1e-9);
+}
+
+bool launched(const simt::Device& dev, const std::string& kernel) {
+  return std::any_of(dev.kernel_log().begin(), dev.kernel_log().end(),
+                     [&](const simt::KernelStats& k) { return k.name == kernel; });
+}
+
+TEST(Pagerank, ExactRunKeepsTheWholeFrontierWithoutFiltering) {
+  // At epsilon 0 no vertex can converge: no prune filter runs, every
+  // iteration keeps all n vertices, and the gather takes the whole-range
+  // form (no per-iteration degree gather or scan), edge-chunked here.
+  const Csr g = directed_rmat(13, 95);
+  const std::uint64_t n = g.num_vertices();
+  simt::Device dev;
+  dev.set_profiling(true);
+  Engine eng(dev, g);
+  const PagerankResult r = eng.pagerank(exact_options());
+  ASSERT_EQ(r.summary.per_iteration.size(), 20u);
+  for (const IterationStats& s : r.summary.per_iteration) {
+    EXPECT_EQ(s.input_size, n);
+    EXPECT_EQ(s.output_size, n);
+    EXPECT_EQ(s.edges_processed, g.num_edges());
+  }
+  EXPECT_FALSE(launched(dev, "filter"));
+  EXPECT_FALSE(launched(dev, "scan"));
+  EXPECT_FALSE(launched(dev, "gather_degrees"));
+  EXPECT_TRUE(launched(dev, "neighbor_reduce_lb"));
+  // Pruning still filters, and drops converged vertices.
+  dev.reset();
+  QueryOptions pruned;
+  pruned.epsilon = 1e-3;
+  const PagerankResult p = eng.pagerank(pruned);
+  EXPECT_TRUE(launched(dev, "filter"));
+  EXPECT_LT(p.summary.per_iteration.back().output_size, n);
 }
 
 }  // namespace
