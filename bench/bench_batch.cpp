@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
     }
     // --- BFS, batched arm ----------------------------------------------
     {
-      BatchOptions bopts;
+      QueryOptions bopts;
       bopts.direction = Direction::kOptimal;  // symmetric graph: pull OK
       Timer t;
       bfs_last = batch_enactor.bfs(g, sources, bopts);
@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
     }
     // --- SSSP, batched Bellman-Ford baseline (priority schedule off) ---
     {
-      BatchOptions bopts;
+      QueryOptions bopts;
       bopts.use_priority_queue = false;
       Timer t;
       sssp_bf_last = batch_enactor.sssp(g, sources, bopts);
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
     }
     // --- SSSP, batched per-lane near/far arm ---------------------------
     {
-      BatchOptions bopts;
+      QueryOptions bopts;
       bopts.delta = delta;
       Timer t;
       sssp_last = batch_enactor.sssp(g, sources, bopts);

@@ -382,7 +382,7 @@ void BM_BatchBfsSteadyAllocs(benchmark::State& state) {
   const std::vector<VertexId> sources = bench::scattered_sources(g, 64);
   simt::Device dev;
   BatchEnactor enactor(dev);
-  BatchOptions opts;
+  QueryOptions opts;
   opts.direction = Direction::kOptimal;  // symmetrized graph: pull OK
   (void)enactor.bfs(g, sources, opts);  // warm-up: size every pooled buffer
 
@@ -415,7 +415,7 @@ void BM_BatchSsspNearFarSteadyAllocs(benchmark::State& state) {
   const std::vector<VertexId> sources = bench::scattered_sources(g, 64);
   simt::Device dev;
   BatchEnactor enactor(dev);
-  BatchOptions opts;
+  QueryOptions opts;
   opts.delta = 8;  // force the schedule (bench graph may sit under gates)
   (void)enactor.sssp(g, sources, opts);  // warm-up: size every pool
 

@@ -9,7 +9,7 @@
 // server over the power-law bench graph. Two arms per primitive, same
 // workload, interleaved per repeat:
 //
-//   * uncoalesced — ServerOptions::coalesce = false; every query is its
+//   * uncoalesced — ServerOptions::max_batch = 1; every query is its
 //     own enact (the engine-per-worker baseline).
 //   * coalesced — adaptive batching on (64-lane cap, --window-us): queries
 //     arriving together fuse into one lane-matrix enact.
@@ -151,7 +151,6 @@ int run_overload_arm(const Csr& g, const std::vector<VertexId>& sources,
       std::max(2000.0, 4000.0 * uncontended_p99_ms));
   ServerOptions so;
   so.num_workers = workers;
-  so.coalesce = true;
   so.coalesce_window_us = window_us;
   // Half a batch of headroom, then shed at the door: admitted queries wait
   // at most ~one enact behind the one they join, which is what keeps their
@@ -312,7 +311,6 @@ int run_mutation_arm(const Csr& g, const std::vector<VertexId>& sources,
 
   ServerOptions so;
   so.num_workers = workers;
-  so.coalesce = true;
   so.coalesce_window_us = window_us;
   Server server(dyn, so);
 
@@ -467,7 +465,6 @@ int run_cache_arm(const Csr& g, std::uint32_t clients, std::uint32_t rounds,
   const auto distinct = static_cast<std::uint64_t>(uniq.size());
 
   ServerOptions off;
-  off.coalesce = true;
   off.coalesce_window_us = window_us;
   off.num_workers = workers;
   ServerOptions on = off;
@@ -572,10 +569,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(g.num_edges()), clients, rounds);
 
   ServerOptions uncoalesced;
-  uncoalesced.coalesce = false;
+  uncoalesced.max_batch = 1;
   uncoalesced.num_workers = workers;
   ServerOptions coalesced;
-  coalesced.coalesce = true;
   coalesced.coalesce_window_us = window_us;
   coalesced.num_workers = workers;
 

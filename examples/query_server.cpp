@@ -81,10 +81,10 @@ int main(int argc, char** argv) {
     checksum = sum;
   };
 
-  const auto serve = [&](const char* label, bool coalesce) {
+  const auto serve = [&](const char* label, std::uint32_t max_batch) {
     ServerOptions so;
     so.num_workers = workers;
-    so.coalesce = coalesce;
+    so.max_batch = max_batch;
     so.coalesce_window_us = window_us;
     Server server(g, so);
     std::vector<std::uint64_t> checksums(clients, 0);
@@ -116,8 +116,8 @@ int main(int argc, char** argv) {
     return ms;
   };
 
-  const double fused_ms = serve("coalescer ON (adaptive batching):", true);
-  const double plain_ms = serve("coalescer OFF (one enact per query):", false);
+  const double fused_ms = serve("coalescer ON (adaptive batching):", 64);
+  const double plain_ms = serve("coalescer OFF (one enact per query):", 1);
   std::printf("coalescing speedup on this workload: %.2fx\n",
               plain_ms / fused_ms);
   std::printf("(checksums above must match: fusing never changes bytes)\n");

@@ -6,8 +6,7 @@ namespace grx {
 
 void Engine::bfs(VertexId source, BfsResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  bfs_.set_cancel(opts.cancel);
-  bfs_.enact(*g_, source, opts.to_bfs(), out);
+  bfs_.enact(*g_, source, opts, out);
 }
 BfsResult Engine::bfs(VertexId source, const QueryOptions& opts) {
   BfsResult out;
@@ -18,8 +17,7 @@ BfsResult Engine::bfs(VertexId source, const QueryOptions& opts) {
 void Engine::sssp(VertexId source, SsspResult& out,
                   const QueryOptions& opts) {
   EnactScope scope(*this);
-  sssp_.set_cancel(opts.cancel);
-  sssp_.enact(*g_, weighted_in_edges(), source, opts.to_sssp(), out);
+  sssp_.enact(*g_, weighted_in_edges(), source, opts, out);
 }
 SsspResult Engine::sssp(VertexId source, const QueryOptions& opts) {
   SsspResult out;
@@ -29,8 +27,7 @@ SsspResult Engine::sssp(VertexId source, const QueryOptions& opts) {
 
 void Engine::bc(VertexId source, BcResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  bc_.set_cancel(opts.cancel);
-  bc_.enact(*g_, in_edges(), source, opts.to_bc(), out);
+  bc_.enact(*g_, in_edges(), source, opts, out);
 }
 BcResult Engine::bc(VertexId source, const QueryOptions& opts) {
   BcResult out;
@@ -42,8 +39,7 @@ BcResult Engine::bc(VertexId source, const QueryOptions& opts) {
 
 void Engine::cc(CcResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  cc_.set_cancel(opts.cancel);
-  cc_.enact(*g_, out);
+  cc_.enact(*g_, opts, out);
 }
 CcResult Engine::cc(const QueryOptions& opts) {
   CcResult out;
@@ -53,8 +49,7 @@ CcResult Engine::cc(const QueryOptions& opts) {
 
 void Engine::pagerank(PagerankResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  pr_.set_cancel(opts.cancel);
-  pr_.enact(*g_, in_edges(), opts.to_pagerank(), out);
+  pr_.enact(*g_, in_edges(), opts, out);
 }
 PagerankResult Engine::pagerank(const QueryOptions& opts) {
   PagerankResult out;
@@ -64,8 +59,7 @@ PagerankResult Engine::pagerank(const QueryOptions& opts) {
 
 void Engine::coloring(ColoringResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  coloring_.set_cancel(opts.cancel);
-  coloring_.enact(*g_, opts.seed, out);
+  coloring_.enact(*g_, opts, out);
 }
 ColoringResult Engine::coloring(const QueryOptions& opts) {
   ColoringResult out;
@@ -75,8 +69,7 @@ ColoringResult Engine::coloring(const QueryOptions& opts) {
 
 void Engine::mis(MisResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  mis_.set_cancel(opts.cancel);
-  mis_.enact(*g_, opts.seed, out);
+  mis_.enact(*g_, opts, out);
 }
 MisResult Engine::mis(const QueryOptions& opts) {
   MisResult out;
@@ -86,8 +79,7 @@ MisResult Engine::mis(const QueryOptions& opts) {
 
 void Engine::mst(MstResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  mst_.set_cancel(opts.cancel);
-  mst_.enact(*g_, out);
+  mst_.enact(*g_, opts, out);
 }
 MstResult Engine::mst(const QueryOptions& opts) {
   MstResult out;
@@ -137,8 +129,7 @@ void Engine::require_transpose() {
 void Engine::hits(HitsResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
   require_transpose();
-  hits_.set_cancel(opts.cancel);
-  hits_.enact(*g_, *gT_, opts.to_hits(), out);
+  hits_.enact(*g_, *gT_, opts, out);
 }
 HitsResult Engine::hits(const QueryOptions& opts) {
   HitsResult out;
@@ -149,8 +140,7 @@ HitsResult Engine::hits(const QueryOptions& opts) {
 void Engine::salsa(SalsaResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
   require_transpose();
-  salsa_.set_cancel(opts.cancel);
-  salsa_.enact(*g_, *gT_, opts.to_salsa(), out);
+  salsa_.enact(*g_, *gT_, opts, out);
 }
 SalsaResult Engine::salsa(const QueryOptions& opts) {
   SalsaResult out;
@@ -163,8 +153,7 @@ SalsaResult Engine::salsa(const QueryOptions& opts) {
 void Engine::batch_bfs(std::span<const VertexId> sources,
                        BatchBfsResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  batch_.set_cancel(opts.cancel);
-  batch_.bfs(*g_, sources, opts.to_batch(), out);
+  batch_.bfs(*g_, sources, opts, out);
 }
 BatchBfsResult Engine::batch_bfs(std::span<const VertexId> sources,
                                  const QueryOptions& opts) {
@@ -176,8 +165,7 @@ BatchBfsResult Engine::batch_bfs(std::span<const VertexId> sources,
 void Engine::batch_sssp(std::span<const VertexId> sources,
                         BatchSsspResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  batch_.set_cancel(opts.cancel);
-  batch_.sssp(*g_, sources, opts.to_batch(), out);
+  batch_.sssp(*g_, sources, opts, out);
 }
 BatchSsspResult Engine::batch_sssp(std::span<const VertexId> sources,
                                    const QueryOptions& opts) {
@@ -190,8 +178,7 @@ void Engine::batch_reachability(std::span<const VertexId> sources,
                                 BatchReachabilityResult& out,
                                 const QueryOptions& opts) {
   EnactScope scope(*this);
-  batch_.set_cancel(opts.cancel);
-  batch_.reachability(*g_, sources, opts.to_batch(), out);
+  batch_.reachability(*g_, sources, opts, out);
 }
 BatchReachabilityResult Engine::batch_reachability(
     std::span<const VertexId> sources, const QueryOptions& opts) {
@@ -204,8 +191,7 @@ void Engine::batch_bc_forward(std::span<const VertexId> sources,
                               BatchBcForwardResult& out,
                               const QueryOptions& opts) {
   EnactScope scope(*this);
-  batch_.set_cancel(opts.cancel);
-  batch_.bc_forward(*g_, sources, opts.to_batch(), out);
+  batch_.bc_forward(*g_, sources, opts, out);
 }
 BatchBcForwardResult Engine::batch_bc_forward(
     std::span<const VertexId> sources, const QueryOptions& opts) {
@@ -219,10 +205,7 @@ BatchBcForwardResult Engine::batch_bc_forward(
 void Engine::bc_batched(std::span<const VertexId> sources,
                         std::vector<double>& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  batch_.set_cancel(opts.cancel);
-  bc_.set_cancel(opts.cancel);
-  bc_accumulate_batched(batch_, bc_, *g_, sources, opts.to_batch(),
-                        opts.to_bc(), bc_fwd_, out);
+  bc_accumulate_batched(batch_, bc_, *g_, sources, opts, bc_fwd_, out);
 }
 std::vector<double> Engine::bc_batched(std::span<const VertexId> sources,
                                        const QueryOptions& opts) {
@@ -234,9 +217,8 @@ std::vector<double> Engine::bc_batched(std::span<const VertexId> sources,
 void Engine::bc_sampled(std::uint32_t num_sources, std::uint64_t seed,
                         std::vector<double>& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  bc_.set_cancel(opts.cancel);
-  bc_accumulate_sampled(bc_, *g_, in_edges(), num_sources, seed,
-                        opts.to_bc(), bc_tmp_, out);
+  bc_accumulate_sampled(bc_, *g_, in_edges(), num_sources, seed, opts,
+                        bc_tmp_, out);
 }
 std::vector<double> Engine::bc_sampled(std::uint32_t num_sources,
                                        std::uint64_t seed,

@@ -32,8 +32,8 @@
 #include <span>
 #include <vector>
 
-#include "api/query.hpp"
 #include "core/batch_enactor.hpp"
+#include "core/options.hpp"
 #include "graph/csr.hpp"
 #include "verify/sched.hpp"
 #include "primitives/bc.hpp"

@@ -84,25 +84,17 @@ void Server::fulfill_error(const std::shared_ptr<QueryTicket::State>& s,
 
 namespace {
 
-/// The ServingOptions of a `kind` query with `opts` (see server.hpp).
-ServingOptions serving_options(QueryKind kind, const QueryOptions& opts) {
-  if (coalescable(kind)) return opts.to_batch();
-  if (kind == QueryKind::kPagerank) return opts.to_pagerank();
-  return {};
-}
-
 /// May `a` and `b` share one batched enact? Same primitive, and equal
-/// serving options (every field the batched engine consumes) — anything
-/// else would silently serve one of them with the other's configuration.
-/// Deadlines, tokens, and the cache opt-out do NOT gate fusion: they are
-/// per-lane concerns the demux path resolves (late flag / cancel at the
-/// enact boundary / skip-publish).
+/// serving fields (every field the enactor reads) — anything else would
+/// silently serve one of them with the other's configuration. Deadlines,
+/// tokens, and the cache opt-out do NOT gate fusion: they are per-lane
+/// concerns the demux path resolves (late flag / cancel at the enact
+/// boundary / skip-publish).
 bool fuse_compatible(const QueryRequest& a, const QueryRequest& b) {
-  return a.kind == b.kind &&
-         serving_options(a.kind, a.opts) == serving_options(b.kind, b.opts);
+  return a.kind == b.kind && same_serving_fields(a.kind, a.opts, b.opts);
 }
 
-/// The result cache key for `req` served on `epoch`: the serving options
+/// The result cache key for `req` served on `epoch`: the serving fields
 /// plus (epoch, kind, source). Whole-graph kinds normalize source to 0 —
 /// their results are source-independent.
 ServingCacheKey cache_key_of(const QueryRequest& req, Epoch epoch) {
@@ -110,7 +102,8 @@ ServingCacheKey cache_key_of(const QueryRequest& req, Epoch epoch) {
   k.epoch = epoch;
   k.kind = req.kind;
   k.source = coalescable(req.kind) ? req.source : 0;
-  k.opts = serving_options(req.kind, req.opts);
+  for_each_serving_field(req.kind,
+                         [&](auto field) { k.opts.*field = req.opts.*field; });
   return k;
 }
 
@@ -653,8 +646,7 @@ void Server::worker_loop(Worker& w) {
     // batch (this query and everything fused into it) serves this epoch.
     if (dyn_ != nullptr) w.view = dyn_->snapshot();
 
-    if (opts_.coalesce && opts_.max_batch > 1 &&
-        coalescable(batch.front().req.kind)) {
+    if (opts_.max_batch > 1 && coalescable(batch.front().req.kind)) {
       const std::size_t pre = batch.size();
       drain_compatible(w, batch);
       if (opts_.max_queue > 0 && batch.size() != pre) space_cv_.notify_all();

@@ -92,7 +92,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -189,29 +188,61 @@ struct QueryResult {
   Epoch epoch = 0;
 };
 
-/// The options a served query's enact consumes, exactly as its enactor
-/// receives them: BatchOptions (QueryOptions::to_batch) for the
-/// coalescable kinds, PagerankOptions (to_pagerank) for PageRank, and
-/// nothing for CC, which reads no option. Two queries of one kind are
-/// interchangeable — they may fuse into one batched enact and share one
-/// cached result — iff their ServingOptions compare equal, so the key
-/// covers every field the enactor reads without a field list of its own.
-using ServingOptions =
-    std::variant<std::monostate, BatchOptions, PagerankOptions>;
+/// Calls `f(&QueryOptions::field)` for every field the enactor of a
+/// served `kind` query reads — the fields that decide its bytes. BFS,
+/// SSSP, reachability and the BC forward pass run on the BatchEnactor,
+/// PageRank on the PrEnactor, and CC reads no option. Two queries of one
+/// kind are interchangeable — they may fuse into one batched enact and
+/// share one cached result — iff they agree on these fields; the fuse
+/// check and the cache key compare them one by one. A field an enactor
+/// starts to read must be listed here (tests/test_server.cpp,
+/// ServerCache.KeyCoversEveryOptionThatChangesBytes, checks the list
+/// against direct Engine runs).
+template <typename F>
+void for_each_serving_field(QueryKind kind, F&& f) {
+  if (coalescable(kind)) {
+    f(&QueryOptions::strategy);
+    f(&QueryOptions::direction);
+    f(&QueryOptions::lb_node_edge_threshold);
+    f(&QueryOptions::pull_alpha);
+    f(&QueryOptions::pull_beta);
+    f(&QueryOptions::use_priority_queue);
+    f(&QueryOptions::delta);
+    f(&QueryOptions::backend);
+  } else if (kind == QueryKind::kPagerank) {
+    f(&QueryOptions::strategy);
+    f(&QueryOptions::damping);
+    f(&QueryOptions::epsilon);
+    f(&QueryOptions::max_iterations);
+  }
+}
+
+/// Do `a` and `b` agree on every serving field of `kind`?
+inline bool same_serving_fields(QueryKind kind, const QueryOptions& a,
+                                const QueryOptions& b) {
+  bool same = true;
+  for_each_serving_field(kind, [&](auto field) {
+    same = same && a.*field == b.*field;
+  });
+  return same;
+}
 
 /// The result cache's full key: one served result is addressed by the
 /// graph epoch it was computed on, the query kind, the source (0 for the
 /// whole-graph kinds, whose results are source-independent), and the
-/// serving options. The epoch in the key is the invalidation mechanism: a
-/// publish makes every prior-epoch entry unreachable.
+/// kind's serving fields (the rest of `opts` stays at its defaults). The
+/// epoch in the key is the invalidation mechanism: a publish makes every
+/// prior-epoch entry unreachable.
 struct ServingCacheKey {
   Epoch epoch = 0;
   QueryKind kind = QueryKind::kBfs;
   VertexId source = 0;
-  ServingOptions opts;
+  QueryOptions opts;
 
-  friend bool operator==(const ServingCacheKey&,
-                         const ServingCacheKey&) = default;
+  friend bool operator==(const ServingCacheKey& a, const ServingCacheKey& b) {
+    return a.epoch == b.epoch && a.kind == b.kind && a.source == b.source &&
+           same_serving_fields(a.kind, a.opts, b.opts);
+  }
 };
 
 struct ServingCacheKeyHash {
@@ -302,10 +333,9 @@ struct ServerOptions {
   /// Worker threads, each owning a private Device + Engine. 0 = one per
   /// hardware thread (at least 1).
   std::uint32_t num_workers = 0;
-  /// Master switch for the batch coalescer. Off: every query runs solo.
-  bool coalesce = true;
   /// Lane cap per fused enact. 64 (one lane-mask word per vertex) is the
-  /// sweet spot; capped at BatchEnactor::kMaxLanes.
+  /// sweet spot; capped at BatchEnactor::kMaxLanes. 1 turns the batch
+  /// coalescer off: every query runs solo.
   std::uint32_t max_batch = 64;
   /// How long a worker holding a partial batch waits for more
   /// fuse-compatible arrivals, in microseconds. 0 = drain-only: fuse

@@ -54,6 +54,12 @@ enum class Direction : std::uint8_t { kPush, kPull, kOptimal };
 const char* to_string(AdvanceStrategy s);
 const char* to_string(Direction d);
 
+/// TWC size-class boundaries (paper Figure 4): a neighbor list longer than
+/// kTwcWarpThreshold is swept by a whole warp, one longer than
+/// kTwcCtaThreshold by a whole CTA; shorter lists go one per thread.
+inline constexpr std::uint32_t kTwcWarpThreshold = 32;
+inline constexpr std::uint32_t kTwcCtaThreshold = 256;
+
 struct AdvanceConfig {
   AdvanceStrategy strategy = AdvanceStrategy::kAuto;
   Direction direction = Direction::kPush;
@@ -68,9 +74,6 @@ struct AdvanceConfig {
   /// Direction-optimal switch parameters (Beamer et al.).
   double pull_alpha = 14.0;
   double pull_beta = 24.0;
-  /// TWC size-class boundaries (paper Figure 4: 32 and 256).
-  std::uint32_t twc_warp_threshold = 32;
-  std::uint32_t twc_cta_threshold = 256;
 };
 
 struct AdvanceStats {
@@ -341,7 +344,7 @@ AdvanceStats advance_twc(simt::Device& dev, const Csr& g,
       for (EdgeId e = g.row_start(v); e < end; ++e)
         n_out = detail::process_edge<F>(g, v, e, prob, scratch, n_out);
       // Device side: charge by class.
-      if (d > cfg.twc_cta_threshold) {
+      if (d > kTwcCtaThreshold) {
         // CTA-cooperative: coalesced, but the whole list streams through a
         // *single* CTA, so it sees one SM's share of DRAM bandwidth while
         // other SMs drain. LB's chunking spreads the same list across the
@@ -350,7 +353,7 @@ AdvanceStats advance_twc(simt::Device& dev, const Csr& g,
         // the sequential processing", Section 4.4).
         w.bulk(d, 2 * CM::kCoalesced + atomic_extra);
         w.alu();  // block arbitration
-      } else if (d > cfg.twc_warp_threshold) {
+      } else if (d > kTwcWarpThreshold) {
         // Warp-cooperative sweep.
         w.bulk(d, CM::kCoalesced + atomic_extra);
       } else {

@@ -28,7 +28,7 @@
 // of it.
 //
 // BFS and reachability support direction-optimal traversal (opt-in via
-// BatchOptions::direction, symmetric CSR required): a lane-parallel
+// QueryOptions::direction, symmetric CSR required): a lane-parallel
 // bottom-up (pull) step — every vertex with undiscovered lanes probes its
 // incoming neighbors and stops once all pending lanes found a parent —
 // takes over when the union frontier saturates, exactly as Beamer's
@@ -41,7 +41,7 @@
 // above-cutoff relaxations into a far bit bank and advances its priority
 // level independently — a lane that drains its near pile re-splits the
 // same iteration instead of stalling behind the batch. Disable via
-// BatchOptions::use_priority_queue for plain Bellman-Ford rounds over the
+// QueryOptions::use_priority_queue for plain Bellman-Ford rounds over the
 // union frontier.
 #pragma once
 
@@ -56,48 +56,6 @@
 #include "simt/vec.hpp"
 
 namespace grx {
-
-/// Configuration shared by every batched primitive. Idempotence is implied
-/// by the commutative lane updates (no per-edge atomic claim is charged —
-/// exact vertex-level dedup happens in the filter's claim, as in
-/// single-query SSSP).
-struct BatchOptions {
-  AdvanceStrategy strategy = AdvanceStrategy::kAuto;
-  /// BFS/reachability traversal direction. kOptimal switches between the
-  /// push advance and the lane-parallel bottom-up (pull) step by Beamer's
-  /// heuristic on union-frontier edge volume — essential for batches,
-  /// whose union frontier saturates the graph within a few levels.
-  /// kPull/kOptimal REQUIRE a symmetric (undirected) CSR: the pull step
-  /// probes the graph's own rows as incoming edges, exactly like the
-  /// single-query advance_pull — which is why, like single-query
-  /// BfsOptions, the default is the direction-agnostic kPush and pull is
-  /// opt-in. SSSP and the BC forward pass are push-only (per-lane
-  /// relaxation / sigma accumulation admit no early-exit pull form) and
-  /// ignore this field.
-  Direction direction = Direction::kPush;
-  /// Pass-through to AdvanceConfig (paper Section 4.4).
-  std::uint32_t lb_node_edge_threshold = 4096;
-  /// Direction-switch thresholds (Beamer), applied to the *union*
-  /// frontier: pull when its edge volume exceeds |E|/alpha, back to push
-  /// below |V|/beta. Same defaults as AdvanceConfig.
-  double pull_alpha = 14.0;
-  double pull_beta = 24.0;
-  /// SSSP only: enable the per-lane near/far priority schedule. 0 delta
-  /// means "auto" — the shared sssp_auto_delta sizing (mean weight x avg
-  /// degree; 0 on low-degree graphs, leaving the schedule off). Mirrors
-  /// single-query SsspOptions.
-  bool use_priority_queue = true;
-  std::uint32_t delta = 0;
-  /// Lane-kernel backend (simt/vec.hpp): kAuto picks the best
-  /// CPU-supported vector path per enact; kScalar forces the reference
-  /// loops. Results are byte-identical across backends — this knob trades
-  /// only wall clock.
-  BackendOptions backend;
-
-  /// The server's fuse and cache key compares whole BatchOptions: queries
-  /// differing in any field never share a batch or a cached result.
-  friend bool operator==(const BatchOptions&, const BatchOptions&) = default;
-};
 
 /// Dense per-(vertex, lane) value matrix layout shared by the batched
 /// results: element (v, q) lives at v * num_lanes + q, so one vertex's B
@@ -218,6 +176,12 @@ struct BatchBcForwardResult {
 /// operator workspaces (via EnactorBase); repeated enactments on the same
 /// graph shape reuse every buffer — a serving loop (examples/
 /// query_server.cpp) allocates only while the first batch warms the pools.
+/// Every kind reads strategy, lb_node_edge_threshold and backend; BFS and
+/// reachability also direction and pull_alpha/beta; SSSP
+/// use_priority_queue and delta. `idempotent` is implied by the
+/// commutative lane updates (no per-edge atomic claim is charged — exact
+/// vertex-level dedup happens in the filter's claim, as in single-query
+/// SSSP).
 class BatchEnactor : public EnactorBase {
  public:
   explicit BatchEnactor(simt::Device& dev) : EnactorBase(dev) {}
@@ -231,23 +195,23 @@ class BatchEnactor : public EnactorBase {
   /// sources.size() == B; duplicate sources are allowed (lanes stay
   /// independent).
   BatchBfsResult bfs(const Csr& g, std::span<const VertexId> sources,
-                     const BatchOptions& opts = {});
+                     const QueryOptions& opts = {});
 
   /// B-source SSSP (weighted), by default under the per-lane near/far
   /// priority schedule; plain Bellman-Ford rounds over the union frontier
   /// when disabled. The graph must carry edge weights.
   BatchSsspResult sssp(const Csr& g, std::span<const VertexId> sources,
-                       const BatchOptions& opts = {});
+                       const QueryOptions& opts = {});
 
   /// B-source reachability: visited lane masks only, no distance writes.
   BatchReachabilityResult reachability(const Csr& g,
                                        std::span<const VertexId> sources,
-                                       const BatchOptions& opts = {});
+                                       const QueryOptions& opts = {});
 
   /// B-source Brandes forward pass: per-lane depth + sigma.
   BatchBcForwardResult bc_forward(const Csr& g,
                                   std::span<const VertexId> sources,
-                                  const BatchOptions& opts = {});
+                                  const QueryOptions& opts = {});
 
   // In-place variants: result matrices are assigned in place, so a caller
   // that reuses the result object across batches (the Engine's serving
@@ -255,13 +219,13 @@ class BatchEnactor : public EnactorBase {
   // primitive enactors' pooled-result contract. The by-value methods above
   // are thin wrappers over these.
   void bfs(const Csr& g, std::span<const VertexId> sources,
-           const BatchOptions& opts, BatchBfsResult& res);
+           const QueryOptions& opts, BatchBfsResult& res);
   void sssp(const Csr& g, std::span<const VertexId> sources,
-            const BatchOptions& opts, BatchSsspResult& res);
+            const QueryOptions& opts, BatchSsspResult& res);
   void reachability(const Csr& g, std::span<const VertexId> sources,
-                    const BatchOptions& opts, BatchReachabilityResult& res);
+                    const QueryOptions& opts, BatchReachabilityResult& res);
   void bc_forward(const Csr& g, std::span<const VertexId> sources,
-                  const BatchOptions& opts, BatchBcForwardResult& res);
+                  const QueryOptions& opts, BatchBcForwardResult& res);
 
  private:
   /// Seeds lane state: cur bit + initial value per source lane, and the
@@ -272,7 +236,7 @@ class BatchEnactor : public EnactorBase {
   /// masks) behind bfs() and reachability(): when `depth` is non-null,
   /// newly discovered (vertex, lane) cells get their level written.
   /// Returns total edges visited / probes.
-  std::uint64_t traverse_lanes(const Csr& g, const BatchOptions& opts,
+  std::uint64_t traverse_lanes(const Csr& g, const QueryOptions& opts,
                                std::uint32_t* depth, std::uint32_t num_lanes);
 
   /// Shared per-iteration tail of every batched BSP loop: log the round,

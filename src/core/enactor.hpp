@@ -12,6 +12,7 @@
 #include "core/cancel.hpp"
 #include "core/filter.hpp"
 #include "core/frontier.hpp"
+#include "core/options.hpp"
 #include "simt/device.hpp"
 #include "util/timer.hpp"
 
@@ -57,21 +58,13 @@ class EnactorBase {
   /// paper's primitives all converge to an empty frontier).
   static constexpr std::uint32_t kMaxIterations = 100000;
 
-  /// Arms cooperative cancellation/deadline for subsequent enactments:
-  /// every iteration loop calls check_cancel() between BSP rounds, so a
-  /// tripped token stops the enact with CancelledError /
-  /// DeadlineExceededError at the next round boundary. Pooled state is
-  /// left as-is for the next begin_enact() to reset — a cancelled
-  /// enactor is immediately reusable and still allocation-free once
-  /// warm. Sticky until replaced; the inert default token costs one
-  /// branch per round. The Engine re-arms this from QueryOptions::cancel
-  /// on every query.
-  void set_cancel(CancelToken token) { cancel_ = std::move(token); }
-
  protected:
-  /// The between-rounds checkpoint: fault hook first (deterministic
-  /// injection seam), then the typed stop throw. `round` is the 0-based
-  /// round about to run.
+  /// The between-rounds checkpoint every iteration loop calls: fault hook
+  /// first (deterministic injection seam), then the typed stop throw
+  /// (CancelledError / DeadlineExceededError). `round` is the 0-based
+  /// round about to run. Pooled state is left as-is for the next
+  /// begin_enact() to reset — a cancelled enactor is immediately reusable
+  /// and still allocation-free once warm.
   void check_cancel(std::uint32_t round) const { cancel_.checkpoint(round); }
   /// Generic iteration driver for operator programs (core/program.hpp):
   /// Problem-init, the convergence predicate, the per-iteration safety net,
@@ -80,7 +73,8 @@ class EnactorBase {
   /// the summary into `out` (capacity-reusing, for pooled result objects).
   /// Defined in core/program.hpp.
   template <typename Prog>
-  void enact_program(const Csr& g, Prog& prog, EnactSummary& out);
+  void enact_program(const Csr& g, Prog& prog, const QueryOptions& opts,
+                     EnactSummary& out);
 
   /// The driver's core loop without begin/finish bracketing, for enactors
   /// that run extra phases around the program (BC's backward sweep) or
@@ -91,9 +85,12 @@ class EnactorBase {
   /// Resets per-enactment state: device counters, the advance workspace's
   /// sticky direction, and the filter history generation (so entries from a
   /// previous enact() on this enactor can never cull vertices from a fresh
-  /// traversal). Pooled buffer capacity is deliberately retained — that is
-  /// what makes the steady-state advance/filter loop allocation-free.
-  void begin_enact() {
+  /// traversal), and arms the stop token from `opts.cancel` (sticky until
+  /// the next enact; the inert default costs one branch per round). Pooled
+  /// buffer capacity is deliberately retained — that is what makes the
+  /// steady-state advance/filter loop allocation-free.
+  void begin_enact(const QueryOptions& opts) {
+    cancel_ = opts.cancel;
     dev_.reset();
     log_.clear();
     advance_ws_.begin_enact();

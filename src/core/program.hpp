@@ -212,9 +212,9 @@ std::uint64_t EnactorBase::run_program(const Csr& g, Prog& prog) {
 
 template <typename Prog>
 void EnactorBase::enact_program(const Csr& g, Prog& prog,
-                                EnactSummary& out) {
+                                const QueryOptions& opts, EnactSummary& out) {
   Timer wall;
-  begin_enact();
+  begin_enact(opts);
   const std::uint64_t edges = run_program(g, prog);
   finish_into(out, edges, wall.elapsed_ms());
 }

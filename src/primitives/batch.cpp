@@ -439,7 +439,7 @@ std::uint64_t batch_pull_step(simt::Device& dev, const Csr& g,
 /// frontier item carries up to `num_lanes` queries of work, so the
 /// per-item scan of edge-chunking amortizes at ~B-times smaller
 /// frontiers (and node chunks containing hubs serialize a whole CTA).
-AdvanceConfig batch_advance_config(const BatchOptions& opts,
+AdvanceConfig batch_advance_config(const QueryOptions& opts,
                                    std::uint32_t num_lanes) {
   AdvanceConfig acfg;
   acfg.strategy = opts.strategy;
@@ -544,7 +544,7 @@ std::uint32_t BatchEnactor::seed(const Csr& g,
 }
 
 std::uint64_t BatchEnactor::traverse_lanes(const Csr& g,
-                                           const BatchOptions& opts,
+                                           const QueryOptions& opts,
                                            std::uint32_t* depth,
                                            std::uint32_t num_lanes) {
   const std::uint32_t wpv = lanes_.cur.words_per_vertex();
@@ -608,16 +608,16 @@ std::uint64_t BatchEnactor::traverse_lanes(const Csr& g,
 
 BatchBfsResult BatchEnactor::bfs(const Csr& g,
                                  std::span<const VertexId> sources,
-                                 const BatchOptions& opts) {
+                                 const QueryOptions& opts) {
   BatchBfsResult res;
   bfs(g, sources, opts, res);
   return res;
 }
 
 void BatchEnactor::bfs(const Csr& g, std::span<const VertexId> sources,
-                       const BatchOptions& opts, BatchBfsResult& res) {
+                       const QueryOptions& opts, BatchBfsResult& res) {
   Timer wall;
-  begin_enact();
+  begin_enact(opts);
   const std::uint32_t b = seed(g, sources);
   visited_.reset(g.num_vertices(), b);
 
@@ -637,17 +637,17 @@ void BatchEnactor::bfs(const Csr& g, std::span<const VertexId> sources,
 
 BatchSsspResult BatchEnactor::sssp(const Csr& g,
                                    std::span<const VertexId> sources,
-                                   const BatchOptions& opts) {
+                                   const QueryOptions& opts) {
   BatchSsspResult res;
   sssp(g, sources, opts, res);
   return res;
 }
 
 void BatchEnactor::sssp(const Csr& g, std::span<const VertexId> sources,
-                        const BatchOptions& opts, BatchSsspResult& res) {
+                        const QueryOptions& opts, BatchSsspResult& res) {
   GRX_CHECK_MSG(g.has_weights(), "batched SSSP requires edge weights");
   Timer wall;
-  begin_enact();
+  begin_enact(opts);
   const std::uint32_t b = seed(g, sources);
   const std::uint32_t wpv = lanes_.cur.words_per_vertex();
 
@@ -755,7 +755,7 @@ void BatchEnactor::sssp(const Csr& g, std::span<const VertexId> sources,
 
 BatchReachabilityResult BatchEnactor::reachability(
     const Csr& g, std::span<const VertexId> sources,
-    const BatchOptions& opts) {
+    const QueryOptions& opts) {
   BatchReachabilityResult res;
   reachability(g, sources, opts, res);
   return res;
@@ -763,10 +763,10 @@ BatchReachabilityResult BatchEnactor::reachability(
 
 void BatchEnactor::reachability(const Csr& g,
                                 std::span<const VertexId> sources,
-                                const BatchOptions& opts,
+                                const QueryOptions& opts,
                                 BatchReachabilityResult& res) {
   Timer wall;
-  begin_enact();
+  begin_enact(opts);
   const std::uint32_t b = seed(g, sources);
   visited_.reset(g.num_vertices(), b);
   for (std::uint32_t q = 0; q < b; ++q) visited_.set(sources[q], q);
@@ -783,7 +783,7 @@ void BatchEnactor::reachability(const Csr& g,
 
 BatchBcForwardResult BatchEnactor::bc_forward(
     const Csr& g, std::span<const VertexId> sources,
-    const BatchOptions& opts) {
+    const QueryOptions& opts) {
   BatchBcForwardResult res;
   bc_forward(g, sources, opts, res);
   return res;
@@ -791,10 +791,10 @@ BatchBcForwardResult BatchEnactor::bc_forward(
 
 void BatchEnactor::bc_forward(const Csr& g,
                               std::span<const VertexId> sources,
-                              const BatchOptions& opts,
+                              const QueryOptions& opts,
                               BatchBcForwardResult& res) {
   Timer wall;
-  begin_enact();
+  begin_enact(opts);
   const std::uint32_t b = seed(g, sources);
   const std::uint32_t wpv = lanes_.cur.words_per_vertex();
   visited_.reset(g.num_vertices(), b);

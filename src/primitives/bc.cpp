@@ -46,7 +46,7 @@ constexpr auto plus = [](double a, double b) { return a + b; };
 struct BcForwardProgram {
   BcProblem& p;
   const Csr& gT;
-  const BcOptions& opts;
+  const QueryOptions& opts;
   VertexId source;
   Frontier& candidates;
   Frontier& candidates_next;
@@ -193,7 +193,7 @@ void BcEnactor::bucket_levels(std::uint32_t num_levels) {
   dev_.charge_pass("bc_levels", n, 2 * simt::CostModel::kCoalesced);
 }
 
-std::uint64_t BcEnactor::backward(const Csr& g, const BcOptions& opts,
+std::uint64_t BcEnactor::backward(const Csr& g, const QueryOptions& opts,
                                   std::uint32_t first_round,
                                   std::vector<double>& scores) {
   BcProblem& p = problem_;
@@ -227,11 +227,11 @@ std::uint64_t BcEnactor::backward(const Csr& g, const BcOptions& opts,
 }
 
 void BcEnactor::enact(const Csr& g, const Csr& gT, VertexId source,
-                      const BcOptions& opts, BcResult& out) {
+                      const QueryOptions& opts, BcResult& out) {
   GRX_CHECK_MSG(source < g.num_vertices(), "BC source out of range");
   GRX_CHECK(gT.num_vertices() == g.num_vertices());
   Timer wall;
-  begin_enact();
+  begin_enact(opts);
   BcForwardProgram prog{problem_,    gT,          opts,      source,
                         candidates_, candidates_next_, gathered_, split_ws_};
   std::uint64_t edges = run_program(g, prog);
@@ -247,9 +247,10 @@ void BcEnactor::enact(const Csr& g, const Csr& gT, VertexId source,
 
 void BcEnactor::backward_accumulate(const Csr& g,
                                     const BatchBcForwardResult& fwd,
-                                    std::uint32_t lane, const BcOptions& opts,
+                                    std::uint32_t lane,
+                                    const QueryOptions& opts,
                                     std::vector<double>& acc) {
-  begin_enact();
+  begin_enact(opts);
   const std::uint32_t b = fwd.num_lanes;
   BcProblem& p = problem_;
   p.depth.resize(g.num_vertices());
@@ -268,19 +269,18 @@ void BcEnactor::backward_accumulate(const Csr& g,
 
 void bc_accumulate_batched(BatchEnactor& batch, BcEnactor& back,
                            const Csr& g, std::span<const VertexId> sources,
-                           const BatchOptions& fwd_opts,
-                           const BcOptions& opts, BatchBcForwardResult& fwd,
+                           const QueryOptions& opts, BatchBcForwardResult& fwd,
                            std::vector<double>& out) {
   out.assign(g.num_vertices(), 0.0);
   if (sources.empty()) return;
-  batch.bc_forward(g, sources, fwd_opts, fwd);
+  batch.bc_forward(g, sources, opts, fwd);
   for (std::uint32_t q = 0; q < fwd.num_lanes; ++q)
     back.backward_accumulate(g, fwd, q, opts, out);
 }
 
 void bc_accumulate_sampled(BcEnactor& bc, const Csr& g, const Csr& gT,
                            std::uint32_t num_sources, std::uint64_t seed,
-                           const BcOptions& opts, BcResult& scratch,
+                           const QueryOptions& opts, BcResult& scratch,
                            std::vector<double>& out) {
   out.assign(g.num_vertices(), 0.0);
   Rng rng(seed);

@@ -30,17 +30,7 @@
 namespace grx {
 
 struct BatchBcForwardResult;  // core/batch_enactor.hpp
-struct BatchOptions;
 class BatchEnactor;
-
-struct BcOptions {
-  AdvanceStrategy strategy = AdvanceStrategy::kAuto;
-  /// Forward direction switch (Beamer): pull once the frontier's edge
-  /// volume exceeds |E|/pull_alpha, back to push when the frontier shrinks
-  /// below |V|/pull_beta. Same defaults as AdvanceConfig.
-  double pull_alpha = 14.0;
-  double pull_beta = 24.0;
-};
 
 struct BcResult {
   std::vector<double> bc_values;   ///< per-vertex centrality (one source)
@@ -71,7 +61,7 @@ class BcEnactor : public EnactorBase {
   /// Single-source BC from `source`; `gT` is g's transpose (g itself when
   /// symmetric), read by the forward pass's pull rounds.
   void enact(const Csr& g, const Csr& gT, VertexId source,
-             const BcOptions& opts, BcResult& out);
+             const QueryOptions& opts, BcResult& out);
 
   /// Backward half of source-batched BC: buckets lane `lane`'s levels from
   /// the batched forward result and runs the same backward sweep as
@@ -79,7 +69,7 @@ class BcEnactor : public EnactorBase {
   /// single-source pass because the batched forward produces the identical
   /// depth/sigma per lane.
   void backward_accumulate(const Csr& g, const BatchBcForwardResult& fwd,
-                           std::uint32_t lane, const BcOptions& opts,
+                           std::uint32_t lane, const QueryOptions& opts,
                            std::vector<double>& acc);
 
  private:
@@ -88,7 +78,7 @@ class BcEnactor : public EnactorBase {
   void bucket_levels(std::uint32_t num_levels);
   /// Backward sweep over the bucketed levels, adding each vertex's
   /// dependency into `scores`. Returns the edges gathered.
-  std::uint64_t backward(const Csr& g, const BcOptions& opts,
+  std::uint64_t backward(const Csr& g, const QueryOptions& opts,
                          std::uint32_t first_round,
                          std::vector<double>& scores);
 
@@ -118,22 +108,21 @@ class BcEnactor : public EnactorBase {
 // so the pooled state stays with the Engine. `out` is assigned in place.
 
 /// Source-batched accumulation: one lane-packed forward pass
-/// (BatchEnactor::bc_forward, run with `fwd_opts`) into `fwd` computes
+/// (BatchEnactor::bc_forward) into `fwd` computes
 /// depth + sigma for all `sources` at once, then per-source backward
 /// sweeps fold dependencies into `out`. Byte-identical to summing
 /// single-source BC over the sources in order while every path count
 /// stays below 2^53.
 void bc_accumulate_batched(BatchEnactor& batch, BcEnactor& back,
                            const Csr& g, std::span<const VertexId> sources,
-                           const BatchOptions& fwd_opts,
-                           const BcOptions& opts, BatchBcForwardResult& fwd,
+                           const QueryOptions& opts, BatchBcForwardResult& fwd,
                            std::vector<double>& out);
 
 /// Sampled accumulation over `num_sources` deterministic sources drawn
 /// from `seed`; `scratch` holds the per-source result between folds.
 void bc_accumulate_sampled(BcEnactor& bc, const Csr& g, const Csr& gT,
                            std::uint32_t num_sources, std::uint64_t seed,
-                           const BcOptions& opts, BcResult& scratch,
+                           const QueryOptions& opts, BcResult& scratch,
                            std::vector<double>& out);
 
 }  // namespace grx

@@ -46,7 +46,7 @@ struct AtomicFunctor {
 template <typename F>
 struct BfsProgram {
   BfsProblem& p;
-  const BfsOptions& opts;
+  const QueryOptions& opts;
   VertexId source;
   AdvanceConfig acfg;
   FilterConfig fcfg;
@@ -96,15 +96,15 @@ struct BfsProgram {
 
 }  // namespace
 
-void BfsEnactor::enact(const Csr& g, VertexId source, const BfsOptions& opts,
+void BfsEnactor::enact(const Csr& g, VertexId source, const QueryOptions& opts,
                        BfsResult& out) {
   GRX_CHECK_MSG(source < g.num_vertices(), "BFS source out of range");
   if (opts.idempotent) {
     BfsProgram<IdempotentFunctor> prog{problem_, opts, source, {}, {}};
-    enact_program(g, prog, out.summary);
+    enact_program(g, prog, opts, out.summary);
   } else {
     BfsProgram<AtomicFunctor> prog{problem_, opts, source, {}, {}};
-    enact_program(g, prog, out.summary);
+    enact_program(g, prog, opts, out.summary);
   }
   out.depth = problem_.depth;
   out.pred = problem_.pred;

@@ -12,20 +12,6 @@
 
 namespace grx {
 
-struct BfsOptions {
-  AdvanceStrategy strategy = AdvanceStrategy::kAuto;
-  Direction direction = Direction::kPush;
-  /// Idempotent advance: plain reads/writes, duplicates tolerated,
-  /// filter-side heuristic dedup. Non-idempotent uses an atomic claim.
-  bool idempotent = true;
-  /// Record predecessor (parent) ids alongside depths.
-  bool record_predecessors = true;
-  /// Pass-throughs to AdvanceConfig for ablation sweeps.
-  std::uint32_t lb_node_edge_threshold = 4096;
-  double pull_alpha = 14.0;
-  double pull_beta = 24.0;
-};
-
 struct BfsResult {
   std::vector<std::uint32_t> depth;  ///< kInfinity where unreached
   std::vector<VertexId> pred;        ///< kInvalidVertex where unreached/off
@@ -51,7 +37,7 @@ class BfsEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
-  void enact(const Csr& g, VertexId source, const BfsOptions& opts,
+  void enact(const Csr& g, VertexId source, const QueryOptions& opts,
              BfsResult& out);
 
  private:

@@ -138,9 +138,9 @@ struct CcProgram {
 
 }  // namespace
 
-void CcEnactor::enact(const Csr& g, CcResult& out) {
+void CcEnactor::enact(const Csr& g, const QueryOptions& opts, CcResult& out) {
   Timer wall;
-  begin_enact();
+  begin_enact(opts);
   CcProgram prog{problem_, edge_frontier_, next_edges_, vf_, nvf_};
   const std::size_t max_rounds = cc_max_rounds(g.num_vertices());
   log_.reserve(max_rounds);

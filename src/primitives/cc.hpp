@@ -37,7 +37,8 @@ class CcEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
-  void enact(const Csr& g, CcResult& out);
+  /// Reads only `opts.cancel`.
+  void enact(const Csr& g, const QueryOptions& opts, CcResult& out);
 
  private:
   CcProblem problem_;

@@ -97,7 +97,7 @@ struct ColoringProgram {
 
 }  // namespace
 
-void ColoringEnactor::enact(const Csr& g, std::uint64_t seed,
+void ColoringEnactor::enact(const Csr& g, const QueryOptions& opts,
                             ColoringResult& out) {
   const VertexId n = g.num_vertices();
   if (n == 0) {
@@ -106,8 +106,8 @@ void ColoringEnactor::enact(const Csr& g, std::uint64_t seed,
     out.summary = {};
     return;
   }
-  ColoringProgram prog{problem_, seed};
-  enact_program(g, prog, out.summary);
+  ColoringProgram prog{problem_, opts.seed};
+  enact_program(g, prog, opts, out.summary);
 
   out.color = problem_.color;
   out.num_colors = 0;

@@ -33,7 +33,8 @@ class ColoringEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
-  void enact(const Csr& g, std::uint64_t seed, ColoringResult& out);
+  /// Priorities are drawn from `opts.seed`.
+  void enact(const Csr& g, const QueryOptions& opts, ColoringResult& out);
 
  private:
   ColorProblem problem_;

@@ -25,7 +25,7 @@ struct HitsProgram {
   HitsProblem& p;
   std::vector<double>& scratch;
   const Csr& gT;
-  const HitsOptions& opts;
+  const QueryOptions& opts;
   std::uint32_t it = 0;
 
   void init(OpContext& c) {
@@ -74,12 +74,12 @@ struct HitsProgram {
 
 }  // namespace
 
-void HitsEnactor::enact(const Csr& g, const Csr& gT, const HitsOptions& opts,
+void HitsEnactor::enact(const Csr& g, const Csr& gT, const QueryOptions& opts,
                         HitsResult& out) {
   GRX_CHECK(g.num_vertices() == gT.num_vertices());
   GRX_CHECK(g.num_vertices() > 0);
   HitsProgram prog{problem_, scratch_, gT, opts};
-  enact_program(g, prog, out.summary);
+  enact_program(g, prog, opts, out.summary);
   out.hub = problem_.hub;
   out.authority = problem_.auth;
 }

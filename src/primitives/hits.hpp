@@ -15,10 +15,6 @@
 
 namespace grx {
 
-struct HitsOptions {
-  std::uint32_t iterations = 30;
-};
-
 struct HitsResult {
   std::vector<double> hub;        ///< L2-normalized hub scores
   std::vector<double> authority;  ///< L2-normalized authority scores
@@ -40,7 +36,7 @@ class HitsEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
-  void enact(const Csr& g, const Csr& gT, const HitsOptions& opts,
+  void enact(const Csr& g, const Csr& gT, const QueryOptions& opts,
              HitsResult& out);
 
  private:

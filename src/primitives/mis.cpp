@@ -98,7 +98,8 @@ struct MisProgram {
 
 }  // namespace
 
-void MisEnactor::enact(const Csr& g, std::uint64_t seed, MisResult& out) {
+void MisEnactor::enact(const Csr& g, const QueryOptions& opts,
+                       MisResult& out) {
   const VertexId n = g.num_vertices();
   out.in_set.assign(n, 0);
   out.set_size = 0;
@@ -107,8 +108,8 @@ void MisEnactor::enact(const Csr& g, std::uint64_t seed, MisResult& out) {
     return;
   }
   Timer wall;
-  begin_enact();
-  MisProgram prog{problem_, nbr_max_, seed};
+  begin_enact(opts);
+  MisProgram prog{problem_, nbr_max_, opts.seed};
   run_program(g, prog);
 
   for (VertexId v = 0; v < n; ++v)

@@ -33,7 +33,8 @@ class MisEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
-  void enact(const Csr& g, std::uint64_t seed, MisResult& out);
+  /// Priorities are drawn from `opts.seed`.
+  void enact(const Csr& g, const QueryOptions& opts, MisResult& out);
 
  private:
   MisProblem problem_;

@@ -179,7 +179,8 @@ struct MstProgram {
 
 }  // namespace
 
-void MstEnactor::enact(const Csr& g, MstResult& out) {
+void MstEnactor::enact(const Csr& g, const QueryOptions& opts,
+                       MstResult& out) {
   GRX_CHECK_MSG(g.has_weights(), "MST requires edge weights");
   out.edges.clear();
   out.total_weight = 0;
@@ -191,7 +192,7 @@ void MstEnactor::enact(const Csr& g, MstResult& out) {
   }
 
   Timer wall;
-  begin_enact();
+  begin_enact(opts);
   MstProgram prog{problem_, frontier_, next_, in_mst_, partner_};
   const std::uint64_t work = run_program(g, prog);
 

@@ -49,7 +49,8 @@ class MstEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
-  void enact(const Csr& g, MstResult& out);
+  /// Reads only `opts.cancel`.
+  void enact(const Csr& g, const QueryOptions& opts, MstResult& out);
 
  private:
   MstProblem problem_;

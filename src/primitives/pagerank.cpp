@@ -27,7 +27,7 @@ double contribution(const Csr& g, VertexId v, double rank) {
 struct PrProgram {
   PrProblem& p;
   const Csr& gT;
-  const PagerankOptions& opts;
+  const QueryOptions& opts;
   AdvanceConfig cfg;
   FilterConfig fcfg;
   std::uint32_t iter = 0;
@@ -110,12 +110,12 @@ struct PrProgram {
 
 }  // namespace
 
-void PrEnactor::enact(const Csr& g, const Csr& gT, const PagerankOptions& opts,
+void PrEnactor::enact(const Csr& g, const Csr& gT, const QueryOptions& opts,
                       PagerankResult& out) {
   GRX_CHECK(g.num_vertices() > 0);
   GRX_CHECK(g.num_vertices() == gT.num_vertices());
   PrProgram prog{problem_, gT, opts, {}, {}};
-  enact_program(g, prog, out.summary);
+  enact_program(g, prog, opts, out.summary);
   out.rank = problem_.rank;
 }
 

@@ -22,22 +22,6 @@
 
 namespace grx {
 
-struct PagerankOptions {
-  /// Workload mapping of the gather (neighbor_reduce): kAuto picks the
-  /// edge-chunked LB mapping for skewed frontiers, per-warp otherwise.
-  AdvanceStrategy strategy = AdvanceStrategy::kAuto;
-  double damping = 0.85;
-  /// Per-vertex convergence threshold for frontier pruning. 0 disables
-  /// pruning (every vertex iterates to max_iterations — the mode used for
-  /// oracle comparison and for per-iteration timing, as in Table 3 where
-  /// "all PageRank times are normalized to one iteration").
-  double epsilon = 1e-6;
-  std::uint32_t max_iterations = 50;
-
-  friend bool operator==(const PagerankOptions&,
-                         const PagerankOptions&) = default;
-};
-
 struct PagerankResult {
   std::vector<double> rank;  ///< sums to 1 over all vertices
   EnactSummary summary;
@@ -68,7 +52,7 @@ class PrEnactor : public EnactorBase {
 
   /// Ranks over out-edges `g`, gathering over `gT`, g's transpose (pass
   /// `g` itself for a symmetric graph), as HitsEnactor does.
-  void enact(const Csr& g, const Csr& gT, const PagerankOptions& opts,
+  void enact(const Csr& g, const Csr& gT, const QueryOptions& opts,
              PagerankResult& out);
 
  private:

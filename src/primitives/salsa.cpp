@@ -23,7 +23,7 @@ struct SalsaProgram {
   SalsaProblem& p;
   std::vector<double>& scratch;
   const Csr& gT;
-  const SalsaOptions& opts;
+  const QueryOptions& opts;
   std::uint32_t it = 0;
 
   void init(OpContext& c) {
@@ -84,11 +84,11 @@ struct SalsaProgram {
 }  // namespace
 
 void SalsaEnactor::enact(const Csr& g, const Csr& gT,
-                         const SalsaOptions& opts, SalsaResult& out) {
+                         const QueryOptions& opts, SalsaResult& out) {
   GRX_CHECK(g.num_vertices() == gT.num_vertices());
   GRX_CHECK(g.num_vertices() > 0);
   SalsaProgram prog{problem_, scratch_, gT, opts};
-  enact_program(g, prog, out.summary);
+  enact_program(g, prog, opts, out.summary);
   out.hub = problem_.hub;
   out.authority = problem_.auth;
 }

@@ -17,10 +17,6 @@
 
 namespace grx {
 
-struct SalsaOptions {
-  std::uint32_t iterations = 30;
-};
-
 struct SalsaResult {
   std::vector<double> hub;        ///< L1-normalized hub scores
   std::vector<double> authority;  ///< L1-normalized authority scores
@@ -45,7 +41,7 @@ class SalsaEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
-  void enact(const Csr& g, const Csr& gT, const SalsaOptions& opts,
+  void enact(const Csr& g, const Csr& gT, const QueryOptions& opts,
              SalsaResult& out);
 
  private:

@@ -42,7 +42,7 @@ struct RelaxFunctor {
 struct SsspProgram {
   SsspProblem& p;
   PriorityFrontier& pq;
-  const SsspOptions& opts;
+  const QueryOptions& opts;
   const Csr& gT;
   VertexId source;
   AdvanceConfig acfg;
@@ -221,7 +221,7 @@ struct SsspProgram {
 }  // namespace
 
 void SsspEnactor::enact(const Csr& g, const Csr& gT, VertexId source,
-                        const SsspOptions& opts, SsspResult& out) {
+                        const QueryOptions& opts, SsspResult& out) {
   GRX_CHECK_MSG(source < g.num_vertices(), "SSSP source out of range");
   GRX_CHECK_MSG(g.has_weights(), "SSSP requires edge weights");
   GRX_CHECK(gT.num_vertices() == g.num_vertices() &&
@@ -230,7 +230,7 @@ void SsspEnactor::enact(const Csr& g, const Csr& gT, VertexId source,
                 "SSSP pull rounds need g's weighted in-edges: an unweighted "
                 "transpose would relax hop counts");
   SsspProgram prog{problem_, pq_, opts, gT, source, {}, {}, {}};
-  enact_program(g, prog, out.summary);
+  enact_program(g, prog, opts, out.summary);
   out.dist = problem_.dist;
   out.pred = problem_.pred;
   out.pq_stats = pq_.stats();

@@ -26,20 +26,6 @@
 
 namespace grx {
 
-struct SsspOptions {
-  AdvanceStrategy strategy = AdvanceStrategy::kAuto;
-  /// Enable the near/far priority queue. 0 delta means "auto": the paper's
-  /// weights are uniform in [1, 64]; delta defaults to avg weight x avg
-  /// degree, the standard delta-stepping sizing (sssp_auto_delta).
-  bool use_priority_queue = true;
-  std::uint32_t delta = 0;
-  /// Direction switch (Beamer): pull once the frontier's edge volume
-  /// exceeds |E|/pull_alpha, back to push when the frontier shrinks below
-  /// |V|/pull_beta. Same defaults as AdvanceConfig.
-  double pull_alpha = 14.0;
-  double pull_beta = 24.0;
-};
-
 struct SsspResult {
   std::vector<std::uint32_t> dist;  ///< kInfinity where unreachable
   std::vector<VertexId> pred;
@@ -85,7 +71,7 @@ class SsspEnactor : public EnactorBase {
   /// by the pull rounds; an unweighted `gT` for a weighted `g` is rejected
   /// (CheckError), since pulling over it would relax hop counts.
   void enact(const Csr& g, const Csr& gT, VertexId source,
-             const SsspOptions& opts, SsspResult& out);
+             const QueryOptions& opts, SsspResult& out);
 
  private:
   SsspProblem problem_;

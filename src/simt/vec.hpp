@@ -702,9 +702,8 @@ inline std::uint64_t pull_probe_u64(VecBackend vb, const std::uint64_t* cur,
 
 namespace grx {
 
-/// Per-enact backend knob, threaded QueryOptions -> BatchOptions ->
-/// BatchEnactor -> the lane kernels. Lives outside the options structs it
-/// rides in so the server's fuse key and the bench harness name one type.
+/// Per-enact backend knob, threaded QueryOptions -> BatchEnactor -> the
+/// lane kernels.
 struct BackendOptions {
   /// Vector backend for the batched lane kernels. kAuto (the default)
   /// resolves to the best CPU-supported path at enact time; kScalar forces

@@ -9,8 +9,10 @@
 namespace grx {
 
 /// Parses flags of the form `--key=value` or bare `--flag` (value "1").
-/// Positional arguments are collected in order. Unknown flags are kept —
-/// binaries validate the keys they care about via `known()`.
+/// Positional arguments are collected in order. Unknown flags are kept.
+/// The numeric getters take only the `--key=value` form: a bare flag or a
+/// value that does not parse whole throws CheckError, so `--batch 16`
+/// (which leaves "16" positional) fails loudly instead of running as 1.
 class Cli {
  public:
   Cli(int argc, const char* const* argv);
@@ -23,7 +25,11 @@ class Cli {
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
-  std::map<std::string, std::string, std::less<>> flags_;
+  struct Flag {
+    std::string value;
+    bool bare = false;  ///< given as `--key`, without `=value`
+  };
+  std::map<std::string, Flag, std::less<>> flags_;
   std::vector<std::string> positional_;
 };
 

@@ -174,8 +174,7 @@ TEST(Batch, BcBatchedHonorsBackend) {
   BcEnactor back(dev);
   BatchBcForwardResult fwd;
   std::vector<double> out;
-  bc_accumulate_batched(batch, back, g, sources, scalar.to_batch(),
-                        scalar.to_bc(), fwd, out);
+  bc_accumulate_batched(batch, back, g, sources, scalar, fwd, out);
   EXPECT_EQ(fwd.backend, simt::VecBackend::kScalar);
   EXPECT_EQ(out, ref);
 }

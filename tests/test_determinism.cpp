@@ -635,12 +635,12 @@ TEST(Determinism, PagerankIdenticalAcrossThreadCounts) {
   // Power-law graph with a frontier above the LB threshold, so the gather
   // takes the edge-chunked mapping; with and without pruning.
   const Csr g = testing::undirected(rmat(12, 16, 5));
-  PagerankOptions exact;
+  QueryOptions exact;
   exact.epsilon = 0.0;
   exact.max_iterations = 20;
-  const PagerankOptions pruned;  // epsilon 1e-6, up to 50 iterations
+  const QueryOptions pruned;  // epsilon 1e-6, up to 50 iterations
   ThreadRestorer restore;
-  for (const PagerankOptions& opts : {exact, pruned}) {
+  for (const QueryOptions& opts : {exact, pruned}) {
     auto run = [&](std::vector<simt::KernelStats>& log) {
       simt::Device dev;
       dev.set_profiling(true);

@@ -314,7 +314,7 @@ TEST(ServerFaults, PreSubmitCancelResolvesCancelled) {
 TEST(ServerFaults, QueuedQueryPastBudgetIsShed) {
   ServerOptions so;
   so.num_workers = 1;
-  so.coalesce = false;
+  so.max_batch = 1;
   so.faults = plan_of({{FaultKind::kStall, 0, 400000}});  // wedge enact 0
   Server server(serving_graph(), so);
 
@@ -343,7 +343,7 @@ TEST(ServerFaults, NoDeadlineSentinelEscapesServerDefault) {
   // is the explicit opt-out; 0 keeps meaning "server default".
   ServerOptions so;
   so.num_workers = 1;
-  so.coalesce = false;
+  so.max_batch = 1;
   so.default_deadline_us = 1000;  // 1 ms default — lethal behind the stall
   so.faults = plan_of({{FaultKind::kStall, 0, 400000}});
   Server server(serving_graph(), so);
@@ -371,7 +371,7 @@ TEST(ServerFaults, NoDeadlineSentinelEscapesServerDefault) {
 TEST(ServerFaults, SoloDeadlineTripsMidEnact) {
   ServerOptions so;
   so.num_workers = 1;
-  so.coalesce = false;
+  so.max_batch = 1;
   so.faults = plan_of({{FaultKind::kStall, 0, 400000}});
   Server server(serving_graph(), so);
 
@@ -389,7 +389,7 @@ TEST(ServerFaults, SoloDeadlineTripsMidEnact) {
 TEST(ServerFaults, ForcedCancelMidEnactResolvesCancelled) {
   ServerOptions so;
   so.num_workers = 1;
-  so.coalesce = false;
+  so.max_batch = 1;
   so.faults = plan_of({{FaultKind::kCancel, 1, 0}});
   Server server(serving_graph(), so);
   QueryTicket t = server.submit_bfs(0);
@@ -491,7 +491,7 @@ TEST(ServerFaults, CoalesceWindowClosesAtEarliestMemberDeadline) {
 TEST(ServerFaults, WatchdogFailsTicketsAndRespawnsWorker) {
   ServerOptions so;
   so.num_workers = 1;
-  so.coalesce = false;
+  so.max_batch = 1;
   so.faults = plan_of({{FaultKind::kWorkerCrash, 0, 0}});
   Server server(serving_graph(), so);
 
@@ -520,7 +520,7 @@ TEST(ServerFaults, WatchdogFailsTicketsAndRespawnsWorker) {
 TEST(ServerFaults, WatchdogHandlesMidEnactAllocFailure) {
   ServerOptions so;
   so.num_workers = 1;
-  so.coalesce = false;
+  so.max_batch = 1;
   so.faults = plan_of({{FaultKind::kAllocFailure, 0, 0}});
   Server server(serving_graph(), so);
   QueryTicket t = server.submit_bfs(0);
@@ -534,7 +534,7 @@ TEST(ServerFaults, WatchdogHandlesMidEnactAllocFailure) {
 TEST(ServerFaults, InjectedThrowFailsOnlyThatBatch) {
   ServerOptions so;
   so.num_workers = 1;
-  so.coalesce = false;
+  so.max_batch = 1;
   so.faults = plan_of({{FaultKind::kEnactThrow, 1, 0}});
   Server server(serving_graph(), so);
   QueryTicket bad = server.submit_bfs(0);
@@ -553,7 +553,7 @@ TEST(ServerFaults, InjectedThrowFailsOnlyThatBatch) {
 TEST(ServerFaults, RejectPolicyShedsAtTheDoor) {
   ServerOptions so;
   so.num_workers = 1;
-  so.coalesce = false;
+  so.max_batch = 1;
   so.max_queue = 1;
   so.admission = AdmissionPolicy::kReject;
   so.faults = plan_of({{FaultKind::kStall, 0, 500000}});
@@ -577,7 +577,7 @@ TEST(ServerFaults, RejectPolicyShedsAtTheDoor) {
 TEST(ServerFaults, BlockPolicyTimesOutTyped) {
   ServerOptions so;
   so.num_workers = 1;
-  so.coalesce = false;
+  so.max_batch = 1;
   so.max_queue = 1;
   so.admission = AdmissionPolicy::kBlock;
   so.admission_timeout_us = 30000;  // << the 500ms the worker is wedged
@@ -598,7 +598,7 @@ TEST(ServerFaults, BlockPolicyTimesOutTyped) {
 TEST(ServerFaults, BlockPolicyAdmitsWhenASlotFrees) {
   ServerOptions so;
   so.num_workers = 1;
-  so.coalesce = false;
+  so.max_batch = 1;
   so.max_queue = 1;
   so.admission = AdmissionPolicy::kBlock;  // no timeout: wait for the slot
   so.faults = plan_of({{FaultKind::kStall, 0, 250000}});
@@ -623,7 +623,7 @@ TEST(ServerFaults, BlockPolicyAdmitsWhenASlotFrees) {
 TEST(ServerFaults, TicketApiReportsPendingStatesHonestly) {
   ServerOptions so;
   so.num_workers = 1;
-  so.coalesce = false;
+  so.max_batch = 1;
   so.faults = plan_of({{FaultKind::kStall, 0, 300000}});
   Server server(serving_graph(), so);
 
@@ -642,7 +642,7 @@ TEST(ServerFaults, TicketApiReportsPendingStatesHonestly) {
 TEST(ServerFaults, AccountingIdentityAcrossMixedOutcomes) {
   ServerOptions so;
   so.num_workers = 1;
-  so.coalesce = false;
+  so.max_batch = 1;
   so.max_queue = 2;
   so.admission = AdmissionPolicy::kReject;
   so.faults = plan_of({{FaultKind::kStall, 0, 300000}});

@@ -405,7 +405,7 @@ void wait_for_enacts(const Server& s, std::uint64_t n) {
 TEST(ServerCache, HitServesIdenticalBytesWithoutAnEnact) {
   const Csr& g = serving_graph();
   ServerOptions so = cached_options();
-  so.coalesce = false;
+  so.max_batch = 1;
   Server server(g, so);
 
   const QueryRequest req{QueryKind::kBfs, 5, {}};
@@ -502,10 +502,14 @@ TEST(ServerCache, KeyCoversEveryOptionThatChangesBytes) {
   // query's cache entry), or a dedicated computation with the moved option
   // returns the default bytes. A consumed option missing from the key
   // would make the cache serve another configuration's bytes silently.
+  // Every served result is also checked against a direct Engine query
+  // with the same options, which does not go through the key at all.
   const Csr& g = serving_graph();
   ServerOptions so = cached_options();
-  so.coalesce = false;
+  so.max_batch = 1;
   Server server(g, so);
+  simt::Device dev;
+  Engine direct(dev, g);
   constexpr VertexId kSource = 5;
   std::uint32_t keyed = 0;
   for (const QueryKind kind :
@@ -521,7 +525,9 @@ TEST(ServerCache, KeyCoversEveryOptionThatChangesBytes) {
                               m.field;
       QueryRequest req = def;
       m.apply(req.opts);
-      if (!server.submit(req).get().cached) {
+      const QueryResult served = server.submit(req).get();
+      expect_equal(served, oracle_result(direct, req), ctx + " vs Engine");
+      if (!served.cached) {
         ++keyed;  // the key changed: the default entry was not served
         continue;
       }
@@ -530,14 +536,14 @@ TEST(ServerCache, KeyCoversEveryOptionThatChangesBytes) {
     }
   }
   // Sanity: the key does react to options (4 coalescable kinds x the 8
-  // BatchOptions fields, plus PageRank's strategy/damping/epsilon/
+  // batched-traversal fields, plus PageRank's strategy/damping/epsilon/
   // max_iterations).
   EXPECT_EQ(keyed, 4u * 8u + 4u);
 }
 
 TEST(ServerCache, PerQueryOptOutNeverHitsNorPublishes) {
   ServerOptions so = cached_options();
-  so.coalesce = false;
+  so.max_batch = 1;
   Server server(serving_graph(), so);
   QueryOptions nocache;
   nocache.cache = false;
@@ -564,7 +570,7 @@ TEST(ServerCache, EpochPublishInvalidatesPriorEntries) {
   const Csr chain(4, {0, 1, 2, 3, 3}, {1, 2, 3}, {1, 1, 1});
   DynamicGraph dyn(chain, DynamicGraphOptions{});
   ServerOptions so = cached_options();
-  so.coalesce = false;
+  so.max_batch = 1;
   Server server(dyn, so);
 
   const QueryResult r0 = server.submit_bfs(0).get();

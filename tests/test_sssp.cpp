@@ -180,8 +180,8 @@ TEST(Sssp, UnweightedTransposeIsNotPulledOver) {
 
   SsspEnactor enactor(dev);
   SsspResult out;
-  EXPECT_THROW(enactor.enact(g, bareT, src, SsspOptions{}, out), CheckError);
-  EXPECT_NO_THROW(enactor.enact(g, wT, src, SsspOptions{}, out));
+  EXPECT_THROW(enactor.enact(g, bareT, src, QueryOptions{}, out), CheckError);
+  EXPECT_NO_THROW(enactor.enact(g, wT, src, QueryOptions{}, out));
   EXPECT_EQ(out.dist, r.dist);
 }
 

@@ -2,10 +2,12 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "util/bitset.hpp"
 #include "util/cli.hpp"
+#include "util/common.hpp"
 #include "util/per_thread.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -128,6 +130,30 @@ TEST(Cli, GetDouble) {
   Cli cli(2, argv);
   EXPECT_DOUBLE_EQ(cli.get_double("x", 0.0), 2.5);
   EXPECT_DOUBLE_EQ(cli.get_double("y", 1.5), 1.5);
+}
+
+TEST(Cli, NumericGettersRejectBareFlagsAndGarbage) {
+  // `--batch 16` leaves "16" positional and `--batch` bare: a numeric
+  // getter must refuse it, naming the --key=value form, never read 1.
+  const char* argv[] = {"prog", "--batch", "16",      "--scale=15x",
+                        "--x=",  "--y=2.5", "--z=1e9999"};
+  Cli cli(7, argv);
+  EXPECT_TRUE(cli.has("batch"));
+  for (const char* key : {"batch", "scale", "x", "z"}) {
+    EXPECT_THROW((void)cli.get_int(key, 0), CheckError) << key;
+    EXPECT_THROW((void)cli.get_double(key, 0.0), CheckError) << key;
+  }
+  try {
+    (void)cli.get_int("batch", 1);
+    FAIL() << "bare numeric flag accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("--batch=<value>"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)cli.get_int("y", 0), CheckError) << "2.5 is no int";
+  EXPECT_DOUBLE_EQ(cli.get_double("y", 0.0), 2.5);
+  EXPECT_EQ(cli.get_int("missing", 7), 7);
 }
 
 TEST(AtomicBitset, SetTestCount) {
