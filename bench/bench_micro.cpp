@@ -241,6 +241,33 @@ void BM_SsspPowerLawPush(benchmark::State& state) {
 }
 BENCHMARK(BM_SsspPowerLawPush)->Unit(benchmark::kMillisecond);
 
+// Connected components on a warm Engine over the topology of the SSSP
+// bench graph (CC reads no weights): host wall time, simulated device
+// time, and heap allocations per call (acceptance: 0). The warm-up builds
+// the hook list, which the Engine keeps for the binding.
+void BM_CcPowerLaw(benchmark::State& state) {
+  const Csr& g = scale_free();
+  simt::Device dev;
+  Engine engine(dev, g);
+  CcResult r;
+  // Warm-up: the hook list, the pooled buffers, and the frontier buffers'
+  // capacities, which rotate between calls.
+  for (int i = 0; i < 3; ++i) engine.cc(r);
+  std::uint64_t allocs = 0, runs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    engine.cc(r);
+    allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
+    ++runs;
+    benchmark::DoNotOptimize(r.component.data());
+  }
+  state.counters["sim_device_ms"] = r.summary.device_time_ms;
+  state.counters["allocs_per_run"] =
+      static_cast<double>(allocs) / static_cast<double>(runs ? runs : 1);
+}
+BENCHMARK(BM_CcPowerLaw)->Unit(benchmark::kMillisecond);
+
 void BM_FilterCompact(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   std::vector<std::uint32_t> in(n);

@@ -39,7 +39,7 @@ BcResult Engine::bc(VertexId source, const QueryOptions& opts) {
 
 void Engine::cc(CcResult& out, const QueryOptions& opts) {
   EnactScope scope(*this);
-  cc_.enact(*g_, opts, out);
+  cc_.enact(*g_, cc_hook_list(), opts, out);
 }
 CcResult Engine::cc(const QueryOptions& opts) {
   CcResult out;
@@ -103,6 +103,14 @@ bool Engine::weights_symmetric() {
 const Csr& Engine::owned_transpose() {
   if (!owned_transpose_) owned_transpose_ = grx::transpose(*g_);
   return *owned_transpose_;
+}
+
+const CcHookList& Engine::cc_hook_list() {
+  if (!cc_hooks_built_) {
+    build_cc_hook_list(*g_, cc_hooks_);
+    cc_hooks_built_ = true;
+  }
+  return cc_hooks_;
 }
 
 const Csr& Engine::in_edges() {

@@ -99,12 +99,13 @@ class Engine {
   /// a server worker points its pooled engine at a newer DynamicGraph
   /// snapshot without rebuilding enactors. Pooled state is retained
   /// (buffers re-size per enact, so only a grown edge count allocates);
-  /// the symmetry caches and any engine-built transpose are dropped, and
-  /// HITS/SALSA again treat the graph as its own transpose until
-  /// rebind(g, transpose) supplies one. Requires
-  /// no query in flight (throws CheckError otherwise). The new graph is
-  /// captured by reference and must stay alive across subsequent queries
-  /// — for snapshots, hold the SnapshotView for the duration.
+  /// the symmetry caches and any engine-built transpose are dropped, the
+  /// next CC rebuilds its hook list in place, and HITS/SALSA again treat
+  /// the graph as its own transpose until rebind(g, transpose) supplies
+  /// one. Requires no query in flight (throws CheckError otherwise). The
+  /// new graph is captured by reference and must stay alive across
+  /// subsequent queries — for snapshots, hold the SnapshotView for the
+  /// duration.
   void rebind(const Csr& g) {
     rebind(g, g);
     transpose_explicit_ = false;
@@ -117,6 +118,7 @@ class Engine {
     symmetry_ = Symmetry::kUnknown;
     weight_symmetry_ = Symmetry::kUnknown;
     owned_transpose_.reset();
+    cc_hooks_built_ = false;
   }
 
   /// True while a query is executing on this engine. An Engine is
@@ -232,6 +234,10 @@ class Engine {
   /// it and shared by in_edges() and weighted_in_edges() until rebind.
   const Csr& owned_transpose();
 
+  /// build_cc_hook_list(graph()), built at the first CC after a bind and
+  /// kept until rebind; the next build reuses its storage.
+  const CcHookList& cc_hook_list();
+
   /// RAII reentry guard taken by every query entry point: one atomic RMW
   /// per query (noise next to an enactment), always on — concurrent entry
   /// is a programming error whose symptom without the guard would be
@@ -276,6 +282,8 @@ class Engine {
   Symmetry symmetry_ = Symmetry::kUnknown;
   Symmetry weight_symmetry_ = Symmetry::kUnknown;
   std::optional<Csr> owned_transpose_;  ///< see owned_transpose()
+  CcHookList cc_hooks_;                 ///< see cc_hook_list()
+  bool cc_hooks_built_ = false;
 
   // One persistent enactor per primitive: each owns its Problem buffers
   // and shares the operator-workspace pooling of EnactorBase.

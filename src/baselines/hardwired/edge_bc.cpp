@@ -50,7 +50,7 @@ HwBcResult edge_bc(simt::Device& dev, const Csr& g, VertexId source) {
       const std::uint32_t du = simt::atomic_load(depth[u]);
       if (du == kInfinity) {
         simt::atomic_store(depth[u], level + 1);
-        simt::atomic_store(changed, 1u);
+        simt::atomic_store_if_differs(changed, 1u);
       }
       if (simt::atomic_load(depth[u]) == level + 1) {
         lane.atomic();

@@ -45,7 +45,7 @@ HwCcResult soman_cc(simt::Device& dev, const Csr& g) {
       const VertexId hi = std::max(cs, cd), lo = std::min(cs, cd);
       lane.atomic();
       if (simt::atomic_min(comp[hi], lo) > lo)
-        simt::atomic_store(changed, 1u);
+        simt::atomic_store_if_differs(changed, 1u);
     });
     out.summary.edges_processed += m;
     hooked = changed != 0;
@@ -61,7 +61,7 @@ HwCcResult soman_cc(simt::Device& dev, const Csr& g) {
         if (c == cc) return;
         lane.load_scattered();
         simt::atomic_min(comp[vi], cc);
-        simt::atomic_store(jchanged, 1u);
+        simt::atomic_store_if_differs(jchanged, 1u);
       });
       jumping = jchanged != 0;
     }

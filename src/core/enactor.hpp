@@ -25,6 +25,8 @@ struct IterationStats {
   std::uint64_t output_size = 0;      ///< post-filter frontier items
   std::uint64_t edges_processed = 0;  ///< edges visited (or pull probes)
   bool used_pull = false;             ///< bottom-up direction this step
+
+  bool operator==(const IterationStats&) const = default;
 };
 
 /// Result summary returned by every primitive's enact().

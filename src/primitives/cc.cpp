@@ -1,6 +1,7 @@
 #include "primitives/cc.hpp"
 
 #include <bit>
+#include <limits>
 #include <numeric>
 
 #include "core/filter.hpp"
@@ -21,7 +22,7 @@ struct HookFunctor {
     if (cs == cd) return false;  // settled: drop from the edge frontier
     const VertexId hi = std::max(cs, cd), lo = std::min(cs, cd);
     if (simt::atomic_min(p.comp[hi], lo) > lo)
-      simt::atomic_store(p.changed, 1u);
+      simt::atomic_store_if_differs(p.changed, 1u);
     return true;  // keep: endpoints may still need future hooks
   }
   static void apply_edge(VertexId, VertexId, EdgeId, CcProblem&) {}
@@ -86,19 +87,6 @@ struct CcProgram {
 
   void init(OpContext& c) {
     const Csr& g = c.graph();
-    // One direction per undirected edge suffices for hooking. Rebuilt in
-    // place every enact — caching on graph identity would be unsound (a
-    // new Csr can reuse a previous one's address), and clear() keeps
-    // capacity, so the rebuild allocates nothing in steady state.
-    p.g = &g;
-    p.edge_src.clear();
-    p.edge_dst.clear();
-    for (VertexId v = 0; v < g.num_vertices(); ++v)
-      for (VertexId u : g.neighbors(v))
-        if (v < u) {
-          p.edge_src.push_back(v);
-          p.edge_dst.push_back(u);
-        }
     p.comp.resize(g.num_vertices());
     std::iota(p.comp.begin(), p.comp.end(), VertexId{0});
     edge_frontier.resize(p.edge_src.size());
@@ -138,9 +126,42 @@ struct CcProgram {
 
 }  // namespace
 
-void CcEnactor::enact(const Csr& g, const QueryOptions& opts, CcResult& out) {
+void build_cc_hook_list(const Csr& g, CcHookList& out) {
+  const auto n = static_cast<std::ptrdiff_t>(g.num_vertices());
+  // start[v + 1] = hooks row v contributes; the scan turns it into row v's
+  // first slot, so the parallel scatter writes the serial walk's order.
+  std::vector<std::size_t> start(static_cast<std::size_t>(n) + 1, 0);
+#pragma omp parallel for schedule(dynamic, 1024)
+  for (std::ptrdiff_t v = 0; v < n; ++v) {
+    std::size_t k = 0;
+    for (VertexId u : g.neighbors(static_cast<VertexId>(v)))
+      k += static_cast<std::size_t>(v) < u;
+    start[v + 1] = k;
+  }
+  std::inclusive_scan(start.begin(), start.end(), start.begin());
+  GRX_CHECK_MSG(start.back() <= std::numeric_limits<std::uint32_t>::max(),
+                "CC edge id space exceeded");
+  out.src.resize(start.back());
+  out.dst.resize(start.back());
+  std::uint32_t* const src = out.src.data();
+  std::uint32_t* const dst = out.dst.data();
+#pragma omp parallel for schedule(dynamic, 1024)
+  for (std::ptrdiff_t v = 0; v < n; ++v) {
+    std::size_t slot = start[v];
+    for (VertexId u : g.neighbors(static_cast<VertexId>(v)))
+      if (static_cast<std::size_t>(v) < u) {
+        src[slot] = static_cast<std::uint32_t>(v);
+        dst[slot++] = u;
+      }
+  }
+}
+
+void CcEnactor::enact(const Csr& g, const CcHookList& hooks,
+                      const QueryOptions& opts, CcResult& out) {
   Timer wall;
   begin_enact(opts);
+  problem_.edge_src = hooks.src;
+  problem_.edge_dst = hooks.dst;
   CcProgram prog{problem_, edge_frontier_, next_edges_, vf_, nvf_};
   const std::size_t max_rounds = cc_max_rounds(g.num_vertices());
   log_.reserve(max_rounds);

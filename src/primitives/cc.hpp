@@ -5,6 +5,8 @@
 // removed).
 #pragma once
 
+#include <span>
+
 #include "core/enactor.hpp"
 #include "graph/csr.hpp"
 
@@ -16,16 +18,25 @@ struct CcResult {
   EnactSummary summary;
 };
 
-/// Per-graph persistent CC state (the Problem): component labels plus the
-/// flat undirected edge list hooking iterates over. Pooled across
-/// enactments — the edge list is rebuilt in place each enact (capacity
-/// retained), so repeated queries allocate nothing in steady state.
+/// The flat edge list CC hooks over: one direction (`v < u`) per undirected
+/// edge, in row-major order, so an edge's id is its rank in that walk. It
+/// depends on the graph alone, so the Engine builds it at the first CC
+/// after a bind and keeps it until rebind, as it does the transpose.
+struct CcHookList {
+  std::vector<std::uint32_t> src, dst;
+};
+
+/// Rebuilds `out` from `g` in place (count, scan, scatter over the rows).
+void build_cc_hook_list(const Csr& g, CcHookList& out);
+
+/// Per-graph persistent CC state (the Problem): component labels plus a
+/// view of the caller's hook list. The labels are pooled across
+/// enactments, so repeated queries allocate nothing in steady state.
 struct CcProblem {
-  const Csr* g = nullptr;
-  std::vector<VertexId> comp;           // component label per vertex
-  std::vector<std::uint32_t> edge_src;  // flat edge list (one direction)
-  std::vector<std::uint32_t> edge_dst;
-  std::uint32_t changed = 0;  // hooking progress flag (atomic)
+  std::vector<VertexId> comp;               // component label per vertex
+  std::span<const std::uint32_t> edge_src;  // the bound graph's hook list
+  std::span<const std::uint32_t> edge_dst;
+  std::uint32_t changed = 0;                // hooking progress flag (atomic)
 
   std::pair<VertexId, VertexId> edge_endpoints(std::uint32_t e) const {
     return {edge_src[e], edge_dst[e]};
@@ -37,8 +48,9 @@ class CcEnactor : public EnactorBase {
  public:
   using EnactorBase::EnactorBase;
 
-  /// Reads only `opts.cancel`.
-  void enact(const Csr& g, const QueryOptions& opts, CcResult& out);
+  /// `hooks` must be build_cc_hook_list(g). Reads only `opts.cancel`.
+  void enact(const Csr& g, const CcHookList& hooks, const QueryOptions& opts,
+             CcResult& out);
 
  private:
   CcProblem problem_;

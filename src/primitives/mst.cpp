@@ -139,7 +139,7 @@ struct MstProgram {
       if (partner[r] == kInvalidVertex) return;
       lane.load_coalesced();
       p.comp[r] = partner[r];
-      simt::atomic_store(hooked, 1u);
+      simt::atomic_store_if_differs(hooked, 1u);
     });
     if (hooked == 0) {
       // Only isolated components remain: stop before touching the frontier
@@ -161,7 +161,7 @@ struct MstProgram {
         if (comp == cc) return;
         lane.load_scattered();
         simt::atomic_store(p.comp[vi], cc);
-        simt::atomic_store(jchanged, 1u);
+        simt::atomic_store_if_differs(jchanged, 1u);
       });
       jumping = jchanged != 0;
     }

@@ -93,4 +93,16 @@ void atomic_store(T& target, T value) {
   verify::sched_raw_store(target, value, std::memory_order_relaxed);
 }
 
+/// atomic_store for a flag many lanes raise in one round (CC's "a hook
+/// moved a label"): stores only when a relaxed load reads another value.
+/// A store on every hit takes the flag's cache line exclusive each time,
+/// serializing all threads on that one line; loads share it once set.
+/// Every writer stores the same value, so the flag ends the same.
+template <typename T>
+void atomic_store_if_differs(T& target, T value) {
+  // mo: relaxed — as atomic_store; the load only skips a redundant write.
+  if (verify::sched_raw_load(target, std::memory_order_relaxed) != value)
+    verify::sched_raw_store(target, value, std::memory_order_relaxed);
+}
+
 }  // namespace grx::simt

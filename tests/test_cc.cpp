@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "api/engine.hpp"
 #include "baselines/serial/serial.hpp"
 #include "graph/datasets.hpp"
@@ -99,6 +101,48 @@ TEST(Cc, EveryEdgeEndpointsShareLabel) {
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     for (VertexId u : g.neighbors(v))
       ASSERT_EQ(r.component[v], r.component[u]);
+}
+
+// The Engine builds CC's hook list once per binding, so a rebind must drop
+// it: a stale list would hook the previous graph's edges. A graph built
+// into the storage of the one it replaces has the same address, which no
+// identity check could tell apart; the rebind itself has to.
+TEST(Cc, RebindRebuildsHookList) {
+  const auto graph_a = [] {
+    return testing::undirected(erdos_renyi(1024, 1500, 9));
+  };
+  const auto graph_b = [] {
+    return testing::undirected(erdos_renyi(1024, 500, 23));
+  };
+  const auto expect_cc = [](Engine& eng, const Csr& g) {
+    const auto oracle = serial::connected_components(g);
+    const CcResult r = eng.cc();
+    EXPECT_EQ(r.component, oracle);
+    EXPECT_EQ(r.num_components, serial::count_components(oracle));
+  };
+  const Csr a = graph_a(), b = graph_b();
+  ASSERT_NE(serial::count_components(serial::connected_components(a)),
+            serial::count_components(serial::connected_components(b)));
+
+  simt::Device dev;
+  {
+    Engine eng(dev, a);
+    expect_cc(eng, a);
+    eng.rebind(b);
+    expect_cc(eng, b);
+    eng.rebind(a);
+    expect_cc(eng, a);
+  }
+  std::optional<Csr> slot;
+  slot.emplace(graph_a());
+  Engine eng(dev, *slot);
+  expect_cc(eng, *slot);
+  slot.emplace(graph_b());
+  eng.rebind(*slot);
+  expect_cc(eng, *slot);
+  slot.emplace(graph_a());
+  eng.rebind(*slot);
+  expect_cc(eng, *slot);
 }
 
 }  // namespace

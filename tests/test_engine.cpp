@@ -46,6 +46,21 @@ const Csr& serving_graph() {
 
 constexpr VertexId kSrc = 1;
 
+/// `g` with vertex v renamed n - 1 - v: the same vertex and edge counts
+/// over another edge set.
+Csr mirrored(const Csr& g) {
+  const VertexId n = g.num_vertices();
+  EdgeList el;
+  el.num_vertices = n;
+  for (VertexId v = 0; v < n; ++v) {
+    const auto nbrs = g.neighbors(v);
+    const auto ws = g.edge_weights(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i)
+      el.edges.push_back({n - 1 - v, n - 1 - nbrs[i], ws[i]});
+  }
+  return build_csr(el);
+}
+
 // --- 1. warm-versus-fresh parity (single-thread, byte-exact) ---------------
 
 /// The summary fields every enact reports, device clock included: a
@@ -339,6 +354,28 @@ TEST(EngineSteadyState, CcAllocFree) {
   eng.cc(r);
   EXPECT_EQ(max_allocations_per_enact([&] { eng.cc(r); }), 0u);
   EXPECT_GT(r.num_components, 0u);
+
+  // A rebind to a same-sized graph: the first CC rebuilds the hook list in
+  // place, and every later one allocates nothing.
+  const Csr h = mirrored(g);
+  eng.rebind(h);
+  eng.cc(r);
+  EXPECT_EQ(max_allocations_per_enact([&] { eng.cc(r); }), 0u);
+  eng.rebind(g);
+  eng.cc(r);
+  EXPECT_EQ(max_allocations_per_enact([&] { eng.cc(r); }), 0u);
+
+  // The cached list changes no charge: at one thread a cold Engine and the
+  // warm, twice rebound one agree to the bit, per round included.
+  ThreadRestorer tr;
+  omp_set_num_threads(1);
+  eng.cc(r);
+  simt::Device cold_dev;
+  const CcResult cold = Engine(cold_dev, g).cc();
+  EXPECT_EQ(r.component, cold.component);
+  EXPECT_EQ(r.summary.device_time_ms, cold.summary.device_time_ms);
+  EXPECT_EQ(r.summary.edges_processed, cold.summary.edges_processed);
+  EXPECT_EQ(r.summary.per_iteration, cold.summary.per_iteration);
 }
 
 TEST(EngineSteadyState, PagerankAllocFree) {
